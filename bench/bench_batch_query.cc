@@ -8,9 +8,7 @@
 // vectorized histogram ingest rate, and emits one RESULT_JSON line gated
 // by scripts/bench_regress.py.
 //
-// Honours LATEST_BENCH_SCALE and --threads / LATEST_BENCH_THREADS (the
-// batch paths shard grid row bands and inverted query bands across the
-// pool; threads=0 keeps both serial so the speedup is pure kernel+batch).
+// Honours LATEST_BENCH_SCALE.
 
 #include <algorithm>
 #include <cstdio>
@@ -23,7 +21,6 @@
 #include "simd/kernels.h"
 #include "stream/sliding_window.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workload/dataset.h"
 #include "workload/query_workload.h"
 
@@ -106,20 +103,17 @@ double MeasureBatchQps(exact::ExactEvaluator* evaluator,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const double scale = bench::BenchScale();
-  const uint32_t threads = bench::BenchThreads(argc, argv);
   const stream::WindowConfig window{60LL * 60 * 1000, 16};
   const auto spec = workload::TwitterLikeSpec(scale);
 
   bench::PrintHeader("Batched exact evaluation",
                      "K-query SIMD batches vs per-query scans (queries/s)");
-  std::printf("threads: %u, kernel tier: %s, batch K: %zu\n\n", threads,
+  std::printf("kernel tier: %s, batch K: %zu\n\n",
               simd::KernelTierName(simd::ActiveTier()), kBatchK);
 
-  util::ThreadPool pool(threads);
   exact::ExactEvaluator evaluator(spec.bounds, window.window_length_ms);
-  if (threads > 0) evaluator.set_thread_pool(&pool);
 
   workload::DatasetGenerator gen(spec);
   std::vector<stream::GeoTextObject> objects;
@@ -196,7 +190,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "RESULT_JSON {\"experiment\":\"batch_query\",\"objects\":%zu,"
-      "\"threads\":%u,\"kernel_tier\":\"%s\",\"batch_k\":%zu,"
+      "\"kernel_tier\":\"%s\",\"batch_k\":%zu,"
       "\"spatial_scalar_qps\":%.1f,\"batch_spatial_qps\":%.1f,"
       "\"batch_spatial_speedup\":%.3f,"
       "\"keyword_scalar_qps\":%.1f,\"batch_keyword_qps\":%.1f,"
@@ -204,8 +198,7 @@ int main(int argc, char** argv) {
       "\"mixed_scalar_qps\":%.1f,\"batch_mixed_qps\":%.1f,"
       "\"batch_mixed_speedup\":%.3f,"
       "\"hist_insert_scalar_ops\":%.1f,\"hist_insert_batch_ops\":%.1f}\n",
-      objects.size(), threads, simd::KernelTierName(simd::ActiveTier()),
-      kBatchK, mixes[0].scalar_qps, mixes[0].batch_qps, mixes[0].speedup(),
+      objects.size(), simd::KernelTierName(simd::ActiveTier()), kBatchK, mixes[0].scalar_qps, mixes[0].batch_qps, mixes[0].speedup(),
       mixes[1].scalar_qps, mixes[1].batch_qps, mixes[1].speedup(),
       mixes[2].scalar_qps, mixes[2].batch_qps, mixes[2].speedup(),
       hist_scalar_rate, hist_batch_rate);

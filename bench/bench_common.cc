@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
 #include "obs/metrics_registry.h"
 #include "workload/stream_driver.h"
@@ -15,20 +14,6 @@ double BenchScale() {
   if (env == nullptr) return 1.0;
   const double scale = std::atof(env);
   return std::clamp(scale, 0.05, 100.0);
-}
-
-uint32_t BenchThreads(int argc, char** argv) {
-  long threads = 0;
-  if (const char* env = std::getenv("LATEST_BENCH_THREADS")) {
-    threads = std::atol(env);
-  }
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view(argv[i]) == "--threads") {
-      threads = std::atol(argv[i + 1]);
-      break;
-    }
-  }
-  return static_cast<uint32_t>(std::clamp<long>(threads, 0, 128));
 }
 
 core::LatestConfig DefaultModuleConfig(const workload::DatasetSpec& dataset,

@@ -27,12 +27,6 @@ namespace latest::bench {
 /// [0.05, 100]).
 double BenchScale();
 
-/// Worker threads for harnesses that support parallel execution: the
-/// value of a `--threads N` argument when present, else the
-/// LATEST_BENCH_THREADS environment knob, else 0 (serial). Clamped to
-/// [0, 128].
-uint32_t BenchThreads(int argc, char** argv);
-
 /// Default module configuration for a dataset: one-hour window, shadow
 /// (evaluation) mode, pre-training sized to the query volume.
 core::LatestConfig DefaultModuleConfig(const workload::DatasetSpec& dataset,

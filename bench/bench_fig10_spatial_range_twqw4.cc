@@ -10,10 +10,9 @@
 #include "bench/bench_common.h"
 #include "bench/portfolio_harness.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace latest;
   const double scale = bench::BenchScale();
-  const uint32_t threads = bench::BenchThreads(argc, argv);
   const auto dataset = workload::TwitterLikeSpec(scale);
   const stream::WindowConfig window{60LL * 60 * 1000, 16};
 
@@ -29,7 +28,7 @@ int main(int argc, char** argv) {
   while (feedback_gen.HasNext()) feedback.push_back(feedback_gen.Next());
 
   bench::PortfolioHarness harness(dataset, window,
-                                  {estimators::EstimatorConfig{}}, threads);
+                                  {estimators::EstimatorConfig{}});
   harness.Feed(feedback);
 
   const double side_fractions[] = {0.0025, 0.005, 0.01, 0.02, 0.04};

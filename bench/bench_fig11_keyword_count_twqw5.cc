@@ -12,10 +12,9 @@
 #include "bench/bench_common.h"
 #include "bench/portfolio_harness.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace latest;
   const double scale = bench::BenchScale();
-  const uint32_t threads = bench::BenchThreads(argc, argv);
   const auto dataset = workload::TwitterLikeSpec(scale);
   const stream::WindowConfig window{60LL * 60 * 1000, 16};
 
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
   while (feedback_gen.HasNext()) feedback.push_back(feedback_gen.Next());
 
   bench::PortfolioHarness harness(dataset, window,
-                                  {estimators::EstimatorConfig{}}, threads);
+                                  {estimators::EstimatorConfig{}});
   harness.Feed(feedback);
 
   const std::set<estimators::EstimatorKind> excluded = {

@@ -11,10 +11,9 @@
 #include "bench/bench_common.h"
 #include "bench/portfolio_harness.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace latest;
   const double scale = bench::BenchScale();
-  const uint32_t threads = bench::BenchThreads(argc, argv);
   const auto dataset = workload::TwitterLikeSpec(scale);
   const stream::WindowConfig window{60LL * 60 * 1000, 16};
 
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
   std::vector<stream::Query> feedback;
   while (feedback_gen.HasNext()) feedback.push_back(feedback_gen.Next());
 
-  bench::PortfolioHarness harness(dataset, window, configs, threads);
+  bench::PortfolioHarness harness(dataset, window, configs);
   harness.Feed(feedback);
 
   // Mixed evaluation batch (TwQW1-style, no phase rotation needed).

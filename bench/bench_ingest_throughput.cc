@@ -8,9 +8,8 @@
 //   2. exact-eval: queries/s answered exactly at end-of-stream, per
 //      workload mix (pure spatial, single keyword, mixed) and overall.
 //
-// Honours LATEST_BENCH_SCALE and --threads / LATEST_BENCH_THREADS (spatial
-// scans shard grid-row bands across the estimation pool). Emits one
-// RESULT_JSON line so the speedup lands in the bench trajectory.
+// Honours LATEST_BENCH_SCALE. Emits one RESULT_JSON line so the speedup
+// lands in the bench trajectory.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,7 +21,6 @@
 #include "simd/kernels.h"
 #include "stream/sliding_window.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workload/dataset.h"
 #include "workload/query_workload.h"
 
@@ -98,20 +96,15 @@ double MeasureBatchQps(exact::ExactEvaluator* evaluator,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const double scale = bench::BenchScale();
-  const uint32_t threads = bench::BenchThreads(argc, argv);
   const stream::WindowConfig window{60LL * 60 * 1000, 16};
   const auto spec = workload::TwitterLikeSpec(scale);
 
   bench::PrintHeader("Ingest & exact-eval throughput",
                      "columnar window store data path (objects/s, qps)");
-  std::printf("threads: %u (pass --threads N or set LATEST_BENCH_THREADS)\n\n",
-              threads);
 
-  util::ThreadPool pool(threads);
   exact::ExactEvaluator evaluator(spec.bounds, window.window_length_ms);
-  if (threads > 0) evaluator.set_thread_pool(&pool);
 
   // --- Ingest: the module's cadence (rotation-driven eviction). ---
   workload::DatasetGenerator gen(spec);
@@ -185,12 +178,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "RESULT_JSON {\"experiment\":\"ingest_throughput\",\"objects\":%zu,"
-      "\"threads\":%u,\"kernel_tier\":\"%s\",\"ingest_objects_per_s\":%.1f,"
+      "\"kernel_tier\":\"%s\",\"ingest_objects_per_s\":%.1f,"
       "\"spatial_qps\":%.1f,\"keyword_qps\":%.1f,\"mixed_qps\":%.1f,"
       "\"exact_eval_qps\":%.1f,\"batch_spatial_qps\":%.1f,"
       "\"batch_keyword_qps\":%.1f,\"batch_mixed_qps\":%.1f,"
       "\"batch_exact_eval_qps\":%.1f}\n",
-      objects.size(), threads, simd::KernelTierName(simd::ActiveTier()),
+      objects.size(), simd::KernelTierName(simd::ActiveTier()),
       ingest_rate, mixes[0].qps, mixes[1].qps, mixes[2].qps, exact_eval_qps,
       mixes[0].batch_qps, mixes[1].batch_qps, mixes[2].batch_qps,
       batch_exact_eval_qps);

@@ -8,9 +8,7 @@
 // scripts/bench_regress.py — detection delay and recovery are
 // deterministic for a fixed seed, so the tolerance bands are tight.
 //
-// Honours LATEST_BENCH_SCALE (object volume) and --threads /
-// LATEST_BENCH_THREADS (estimation pool; the outcome is thread-count
-// invariant at alpha = 0).
+// Honours LATEST_BENCH_SCALE (object volume).
 
 #include <algorithm>
 #include <cstdint>
@@ -21,11 +19,10 @@
 #include "workload/scenario.h"
 #include "workload/scenario_runner.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace latest;
 
   const double scale = bench::BenchScale();
-  const uint32_t threads = bench::BenchThreads(argc, argv);
   // The stock smoke stream is 16000 objects over 8000 event-time ms
   // (2 objects/ms); scale the volume and keep the cadence.
   const uint64_t objects = std::max<uint64_t>(
@@ -35,9 +32,9 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Scenario drift recovery",
                      "detection delay and time-to-recover per adversarial "
                      "scenario");
-  std::printf("objects: %llu over %lld ms, threads: %u\n\n",
+  std::printf("objects: %llu over %lld ms\n\n",
               static_cast<unsigned long long>(objects),
-              static_cast<long long>(duration_ms), threads);
+              static_cast<long long>(duration_ms));
 
   int failures = 0;
   for (const char* name : {"flip", "flash_crowd", "vocab_churn"}) {
@@ -46,9 +43,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", name, entry.status().ToString().c_str());
       return 1;
     }
-    workload::ScenarioRunOptions options;
-    options.threads = threads;
-    auto outcome = workload::RunScenario(*entry, options);
+    auto outcome = workload::RunScenario(*entry);
     if (!outcome.ok()) {
       std::fprintf(stderr, "%s: %s\n", name,
                    outcome.status().ToString().c_str());

@@ -14,15 +14,12 @@ namespace latest::bench {
 PortfolioHarness::PortfolioHarness(
     const workload::DatasetSpec& dataset_spec,
     const stream::WindowConfig& window,
-    const std::vector<estimators::EstimatorConfig>& configs,
-    uint32_t num_threads)
+    const std::vector<estimators::EstimatorConfig>& configs)
     : dataset_spec_(dataset_spec),
       window_(window),
       clock_(window),
       population_(window.num_slices),
-      pool_(std::make_unique<util::ThreadPool>(num_threads)),
       exact_(dataset_spec.bounds, window.window_length_ms) {
-  exact_.set_thread_pool(pool_.get());
   groups_.reserve(configs.size());
   for (size_t g = 0; g < configs.size(); ++g) {
     estimators::EstimatorConfig config = configs[g];
@@ -46,7 +43,7 @@ PortfolioHarness::PortfolioHarness(
 }
 
 void PortfolioHarness::Feed(const std::vector<stream::Query>& feedback_queries) {
-  // Pass 1 (serial): materialize the stream, drive the shared clock /
+  // Pass 1: materialize the stream, drive the shared clock /
   // population / exact evaluator, and resolve the ground truth of every
   // feedback point. Feedback cadence: spread the feedback queries across
   // the stream after the first window has filled.
@@ -82,13 +79,9 @@ void PortfolioHarness::Feed(const std::vector<stream::Query>& feedback_queries) 
     objects.push_back(obj);
   }
 
-  // Pass 2: replay the stream into every group — concurrently when the
-  // pool has workers. Groups share nothing mutable (each task owns its
-  // group's estimators and a private SliceClock), so any thread count
-  // yields the same estimator contents as the original serial loop.
-  pool_->ParallelFor(groups_.size(), [&](size_t g) {
-    ReplayGroup(&groups_[g], objects, feedback_points);
-  });
+  // Pass 2: replay the stream into every group, each with a private
+  // SliceClock.
+  for (Group& group : groups_) ReplayGroup(&group, objects, feedback_points);
 }
 
 void PortfolioHarness::ReplayGroup(

@@ -20,7 +20,6 @@
 #include "estimators/estimator.h"
 #include "exact/exact_evaluator.h"
 #include "stream/sliding_window.h"
-#include "util/thread_pool.h"
 #include "workload/dataset.h"
 
 namespace latest::bench {
@@ -29,18 +28,10 @@ namespace latest::bench {
 class PortfolioHarness {
  public:
   /// One group per estimator configuration (bounds/window are overridden
-  /// from the dataset and the shared window config). With
-  /// `num_threads > 0`, Feed replays the stream into the groups
-  /// concurrently (one task per group) and exact ground truth shards
-  /// grid-row bands; estimator contents and ground truth stay
-  /// bit-identical to the serial run because each group's insert/rotate/
-  /// feedback sequence is unchanged — only which thread replays it
-  /// differs. Evaluate always measures serially so per-estimator
-  /// latencies are not distorted by contention.
+  /// from the dataset and the shared window config).
   PortfolioHarness(const workload::DatasetSpec& dataset_spec,
                    const stream::WindowConfig& window,
-                   const std::vector<estimators::EstimatorConfig>& configs,
-                   uint32_t num_threads = 0);
+                   const std::vector<estimators::EstimatorConfig>& configs);
 
   /// Streams the whole dataset (one pass, all groups fed). Also trains
   /// the workload-driven FFN by feeding periodic query feedback drawn
@@ -76,7 +67,7 @@ class PortfolioHarness {
   };
 
   /// Replays `objects` into one group (rotations, inserts, feedback) —
-  /// the per-group body of Feed, safe to run concurrently across groups.
+  /// the per-group body of Feed.
   void ReplayGroup(Group* group,
                    const std::vector<stream::GeoTextObject>& objects,
                    const std::vector<FeedbackPoint>& feedback_points);
@@ -85,7 +76,6 @@ class PortfolioHarness {
   stream::WindowConfig window_;
   stream::SliceClock clock_;
   stream::WindowPopulation population_;
-  std::unique_ptr<util::ThreadPool> pool_;  // Before exact_, which borrows it.
   exact::ExactEvaluator exact_;
   std::vector<Group> groups_;
   stream::Timestamp now_ = 0;

@@ -14,8 +14,8 @@ record, and applies per-metric tolerance bands:
   values like fsync-bound throughput or wall-clock seconds are too
   machine-dependent to gate on.
 
-Records whose workload context differs from the baseline (object counts,
-thread counts — i.e. a different LATEST_BENCH_SCALE) are skipped with a
+Records whose workload context differs from the baseline (object or
+query counts — i.e. a different LATEST_BENCH_SCALE) are skipped with a
 warning rather than compared apples-to-oranges.
 
 Usage:
@@ -104,8 +104,7 @@ METRIC_SPECS = {
 # incremental_queries plays that role for the timeline (switching)
 # benches: a different LATEST_BENCH_SCALE changes the query volume and
 # with it the accuracy trajectory.
-CONTEXT_FIELDS = ("objects", "threads", "pretrain_queries",
-                  "incremental_queries")
+CONTEXT_FIELDS = ("objects", "pretrain_queries", "incremental_queries")
 
 
 def parse_result_lines(path):
@@ -127,19 +126,14 @@ def flatten(record):
     """Splits one RESULT_JSON record into keyed flat records.
 
     micro_estimators nests a benchmark list; each entry becomes its own
-    record keyed by benchmark name. parallel_scaling emits one record per
-    thread count, keyed by `threads`.
+    record keyed by benchmark name.
     """
     experiment = record.get("experiment", "<unknown>")
     if experiment == "micro_estimators":
         for bench in record.get("benchmarks", []):
             yield (experiment, bench["name"]), {"ns_per_op": bench["ns_per_op"]}
         return
-    discriminator = ""
-    if "threads" in record and experiment == "parallel_scaling":
-        discriminator = f"threads={record['threads']}"
-    if "point" in record:
-        discriminator = str(record["point"])
+    discriminator = str(record.get("point", ""))
     yield (experiment, discriminator), dict(record)
 
 

@@ -75,9 +75,6 @@ util::Status LatestConfig::Validate() const {
     return util::Status::InvalidArgument(
         "auto_retrain_error_threshold must be >= 0");
   }
-  if (num_threads > 128) {
-    return util::Status::InvalidArgument("num_threads must be <= 128");
-  }
   return util::Status::Ok();
 }
 
@@ -112,7 +109,6 @@ util::Result<std::unique_ptr<LatestModule>> LatestModule::Create(
 
 LatestModule::LatestModule(const LatestConfig& config)
     : config_(config),
-      pool_(std::make_unique<util::ThreadPool>(config.num_threads)),
       clock_(config.window),
       window_population_(config.window.num_slices),
       system_log_(config.bounds, config.window.window_length_ms),
@@ -160,9 +156,6 @@ LatestModule::LatestModule(const LatestConfig& config)
     flight_recorder_->AttachSpans(obs::GetSpanCollector());
   }
   scoreboard_.AttachTelemetry(&telemetry_->registry());
-  obs::ThreadPoolMetrics::Attach(pool_.get(), &telemetry_->registry(),
-                                 "estimation", &pool_metrics_);
-  system_log_.set_thread_pool(pool_.get());
   // All enabled estimation structures are pre-filled during the warm-up
   // phase (Section V-C), so every enabled instance exists from the start.
   for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
@@ -437,15 +430,9 @@ void LatestModule::MeasurePortfolio(
     uint64_t actual,
     std::array<EstimatorMeasurement, estimators::kNumEstimatorKinds>* slots)
     const {
-  // One task per estimator, each writing a distinct pre-sized slot.
-  // Estimate() only touches the estimator's own structures, so tasks
-  // share nothing mutable; with zero workers ParallelFor degenerates to
-  // the exact serial loop this replaced.
-  pool_->ParallelFor(kinds.size(), [&](size_t i) {
-    const uint32_t k = kinds[i];
-    (*slots)[k] = Measure(
-        instances_[k].get(), q, actual);
-  });
+  for (const uint32_t k : kinds) {
+    (*slots)[k] = Measure(instances_[k].get(), q, actual);
+  }
 }
 
 ml::FeatureVector LatestModule::BuildFeatures(const stream::Query& q) const {
@@ -498,54 +485,6 @@ void LatestModule::ConcludePretraining() {
   candidate_gauge_->Set(-1.0);
 }
 
-
-namespace {
-
-constexpr uint32_t kSnapshotMagic = 0x4C544553;  // "LTES"
-constexpr uint32_t kSnapshotVersion = 1;
-
-}  // namespace
-
-std::string LatestModule::SerializeLearnedState() const {
-  util::BinaryWriter writer;
-  writer.WriteU32(kSnapshotMagic);
-  writer.WriteU32(kSnapshotVersion);
-  writer.WriteDouble(config_.alpha);
-  model_->Serialize(&writer);
-  scoreboard_.Serialize(&writer);
-  return writer.TakeBuffer();
-}
-
-util::Status LatestModule::RestoreLearnedState(std::string_view snapshot) {
-  util::BinaryReader reader(snapshot);
-  uint32_t magic;
-  uint32_t version;
-  if (!reader.ReadU32(&magic) || magic != kSnapshotMagic) {
-    return util::Status::InvalidArgument("not a LATEST snapshot");
-  }
-  if (!reader.ReadU32(&version) || version != kSnapshotVersion) {
-    return util::Status::InvalidArgument("unsupported snapshot version");
-  }
-  double alpha;
-  if (!reader.ReadDouble(&alpha)) {
-    return util::Status::InvalidArgument("truncated snapshot");
-  }
-  // A snapshot taken under a different alpha encodes rewards for a
-  // different objective; refuse rather than silently mislearn.
-  if (std::abs(alpha - config_.alpha) > 1e-9) {
-    return util::Status::FailedPrecondition(
-        "snapshot was taken with a different alpha");
-  }
-  LATEST_RETURN_IF_ERROR(model_->Restore(&reader));
-  LATEST_RETURN_IF_ERROR(scoreboard_.Restore(&reader));
-  if (!reader.exhausted()) {
-    model_->Reset();
-    scoreboard_.Reset();
-    return util::Status::InvalidArgument("trailing bytes in snapshot");
-  }
-  return util::Status::Ok();
-}
-
 namespace {
 
 /// Bumped whenever the full-lifecycle layout below changes.
@@ -565,8 +504,7 @@ void LatestModule::SaveStateImpl(util::BinaryWriter* writer,
                                  bool include_wall_clock) const {
   writer->WriteU32(kLifecycleVersion);
   // Configuration fingerprint: every knob that shapes the serialized
-  // layout or the post-restore decision sequence. num_threads is
-  // deliberately absent — the lifecycle is thread-count invariant.
+  // layout or the post-restore decision sequence.
   writer->WriteDouble(config_.alpha);
   writer->WriteDouble(config_.tau);
   writer->WriteDouble(config_.beta);
@@ -1111,12 +1049,10 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
     }
 
     case Phase::kPretraining: {
-      // Run the query on every enabled estimator — concurrently when the
-      // pool has workers — and label the training record with the best
-      // alpha-blended performer (Section V-C). The fan-out writes into
-      // pre-sized slots; scoreboard EWMAs, feedback, and the latency
-      // scaler are updated serially after the join, in kind order, so
-      // the learned state is independent of the thread count.
+      // Run the query on every enabled estimator and label the training
+      // record with the best alpha-blended performer (Section V-C).
+      // Measurements land in per-kind slots; scoreboard EWMAs, feedback,
+      // and the latency scaler are updated afterwards, in kind order.
       const util::Stopwatch estimate_watch;
       outcome.measurements.reserve(estimators::kNumEstimatorKinds);
       EstimatorMeasurement active_m;
@@ -1180,8 +1116,8 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
     case Phase::kIncremental: {
       ++incremental_queries_;
       // Measure the active estimator (always), the pre-filling candidate,
-      // and — in evaluation mode — every shadow estimator. Fan-out and
-      // post-join bookkeeping mirror the pre-training phase.
+      // and — in evaluation mode — every shadow estimator. Measurement
+      // and bookkeeping mirror the pre-training phase.
       const util::Stopwatch estimate_watch;
       EstimatorMeasurement active_m;
       std::vector<uint32_t> kinds;

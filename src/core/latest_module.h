@@ -29,7 +29,6 @@
 #include <array>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +42,6 @@
 #include "obs/drift_detector.h"
 #include "obs/error_accounting.h"
 #include "obs/flight_recorder.h"
-#include "obs/pool_metrics.h"
 #include "obs/slo_monitor.h"
 #include "obs/statusz.h"
 #include "obs/telemetry.h"
@@ -52,7 +50,6 @@
 #include "stream/sliding_window.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace latest::core {
 
@@ -152,20 +149,6 @@ struct LatestConfig {
   /// sampling (see obs/telemetry.h). Always on; costs a few relaxed
   /// atomics per query.
   obs::TelemetryConfig telemetry;
-
-  /// Worker threads of the module's estimation pool: pre-training (and
-  /// shadow-mode) portfolio measurement fans each query out across the
-  /// enabled estimators, and spatial ground truth shards grid-row bands.
-  /// 0 (the default) runs everything inline on the caller's thread. The
-  /// lifecycle is deterministic in this knob: measurements land in
-  /// pre-sized slots and every order-sensitive side effect (scoreboard
-  /// EWMAs, estimator feedback, tree training) happens serially after
-  /// the join, so — latency measurements aside — any thread count
-  /// produces the same selections, labels, and estimates. Object
-  /// ingestion (estimator Insert) intentionally stays single-threaded:
-  /// inserts mutate every estimator's window state and are ordered by
-  /// the stream.
-  uint32_t num_threads = 0;
 
   /// Live introspection plane (obs/statusz.h). When enabled, Create()
   /// starts an embedded HTTP server on 127.0.0.1:`introspection_port`
@@ -402,18 +385,6 @@ class LatestModule {
   /// by LoadState.
   void SaveDeterministicState(util::BinaryWriter* writer) const;
 
-  /// Persists the learned state — the Hoeffding tree and the scoreboard —
-  /// so a restarted deployment resumes its recommendations without a new
-  /// pre-training phase. (Window contents are NOT persisted: stream data
-  /// expires within one window anyway; the restarted module re-fills
-  /// structures during its warm-up.)
-  std::string SerializeLearnedState() const;
-
-  /// Restores learned state written by SerializeLearnedState. The module
-  /// configuration (alpha, portfolio, tree schema) must be compatible.
-  /// On failure the model/scoreboard are reset and an error is returned.
-  util::Status RestoreLearnedState(std::string_view snapshot);
-
   /// True iff the kind is part of this deployment's portfolio.
   bool IsEnabled(estimators::EstimatorKind kind) const {
     return config_.enabled_estimators[static_cast<uint32_t>(kind)];
@@ -436,11 +407,9 @@ class LatestModule {
   EstimatorMeasurement Measure(estimators::Estimator* est,
                                const stream::Query& q, uint64_t actual) const;
 
-  /// Measures every kind in `kinds` (instances must exist), writing each
-  /// result into its pre-sized slot. Fans out across pool_ when it has
-  /// workers; otherwise runs inline in `kinds` order. No shared mutable
-  /// state is touched: Record/OnFeedback stay with the caller, after the
-  /// join.
+  /// Measures every kind in `kinds` (instances must exist) in `kinds`
+  /// order, writing each result into its slot. No shared mutable state
+  /// is touched: Record/OnFeedback stay with the caller.
   void MeasurePortfolio(
       const std::vector<uint32_t>& kinds, const stream::Query& q,
       uint64_t actual,
@@ -491,12 +460,6 @@ class LatestModule {
 
   LatestConfig config_;
   Phase phase_ = Phase::kWarmup;
-
-  /// Estimation pool (inline when config_.num_threads == 0): portfolio
-  /// fan-out and grid-sharded ground truth. Declared before system_log_,
-  /// which borrows it, so the pool outlives its borrowers.
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::unique_ptr<obs::ThreadPoolMetrics> pool_metrics_;
 
   stream::SliceClock clock_;
   stream::WindowPopulation window_population_;

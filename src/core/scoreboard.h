@@ -36,10 +36,9 @@ struct EstimatorMeasurement {
 /// EWMA accuracy/latency per (query type, estimator kind) plus the global
 /// latency min-max scaler that normalizes latencies for alpha blending.
 ///
-/// Not thread-safe by design: the module's parallel portfolio fan-out
-/// keeps `Record` on the caller's thread, after the join, in ascending
-/// kind order — EWMA updates are order-sensitive, and serializing them
-/// is what keeps the lifecycle bit-identical across thread counts.
+/// Not thread-safe by design: the module calls `Record` in ascending kind
+/// order after measuring the portfolio — EWMA updates are
+/// order-sensitive, and a fixed order keeps the lifecycle deterministic.
 class Scoreboard {
  public:
   /// ewma_alpha: weight of the newest measurement.

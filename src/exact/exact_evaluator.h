@@ -40,8 +40,7 @@ class ExactEvaluator {
   /// Batched exact evaluation: splits `queries[0..k)` by predicate type
   /// and answers each sub-batch in one pass over the shared backend
   /// (GridIndex / InvertedIndex CountMatchesBatch). counts[i] is
-  /// bit-identical to TrueSelectivity(queries[i]) at every kernel tier
-  /// and thread count.
+  /// bit-identical to TrueSelectivity(queries[i]) at every kernel tier.
   void TrueSelectivityBatch(const stream::Query* queries, size_t k,
                             uint64_t* counts);
 
@@ -72,15 +71,6 @@ class ExactEvaluator {
   /// independent, so the rebuilt evaluator answers bit-identically. False
   /// on malformed input (the evaluator is left cleared).
   bool Load(util::BinaryReader* reader);
-
-  /// Shards spatial ground-truth scans (GridIndex row bands) and batched
-  /// keyword evaluation (InvertedIndex query bands) across `pool`; null
-  /// restores serial evaluation. The pool is borrowed and must outlive
-  /// the evaluator.
-  void set_thread_pool(util::ThreadPool* pool) {
-    grid_.set_thread_pool(pool);
-    inverted_.set_thread_pool(pool);
-  }
 
  private:
   /// Store slices per window; matches the default WindowConfig slicing so

@@ -9,10 +9,6 @@ namespace latest::exact {
 
 namespace {
 
-/// Minimum candidate cells before a query is worth sharding: below this
-/// the dispatch overhead dominates the per-cell scan.
-constexpr uint64_t kMinCellsForSharding = 64;
-
 /// Evicted prefixes are erased (compacted away) once the dead prefix is
 /// this long and at least half the buffer, keeping per-cell memory
 /// proportional to live rows without per-eviction copying.
@@ -77,10 +73,7 @@ void GridIndex::EvictBefore(stream::Timestamp cutoff) {
 
 std::pair<uint64_t, uint64_t> GridIndex::ScanRows(
     const stream::Query& q, stream::Timestamp cutoff, uint32_t row_lo,
-    uint32_t row_hi, uint32_t col_lo, uint32_t col_hi, uint32_t range_row_lo,
-    uint32_t range_row_hi) {
-  // One Reader per scan: shards of a sharded CountMatches each get their
-  // own slice cache, so concurrent scans never share mutable state.
+    uint32_t row_hi, uint32_t col_lo, uint32_t col_hi) {
   const stream::WindowStore::Reader reader(*store_);
   const bool check_range = q.HasRange();
   const bool check_kw = q.HasKeywords();
@@ -96,7 +89,7 @@ std::pair<uint64_t, uint64_t> GridIndex::ScanRows(
     // all have ts >= cutoff (arrival order), so such cells count in O(1)
     // with no location reads.
     const bool row_interior = check_range && !check_kw &&
-                              row > range_row_lo && row < range_row_hi;
+                              row > row_lo && row < row_hi;
     for (uint32_t col = col_lo; col <= col_hi; ++col) {
       Cell& cell = cells_[row * grid_.cols() + col];
       evicted += EvictCell(&cell, reader, cutoff);
@@ -124,35 +117,9 @@ uint64_t GridIndex::CountMatches(const stream::Query& q,
       return 0;
     }
   }
-  const uint64_t num_rows = row_hi - row_lo + 1;
-  const uint64_t num_cells = num_rows * (col_hi - col_lo + 1);
-  if (pool_ == nullptr || pool_->num_threads() == 0 ||
-      num_cells < kMinCellsForSharding || num_rows < 2) {
-    const auto [count, evicted] =
-        ScanRows(q, cutoff, row_lo, row_hi, col_lo, col_hi, row_lo, row_hi);
-    size_ -= evicted;
-    return count;
-  }
-  // Shard contiguous row bands: each cell (hence each row buffer) is
-  // touched by exactly one shard, per-shard tallies land in pre-sized
-  // slots, and the shared size_ is only adjusted after the join. Summing
-  // unsigned partial counts is exact, so the result matches the serial
-  // scan bit for bit.
-  const uint32_t num_shards = static_cast<uint32_t>(std::min<uint64_t>(
-      num_rows, static_cast<uint64_t>(pool_->num_threads())));
-  std::vector<std::pair<uint64_t, uint64_t>> shard_results(num_shards);
-  pool_->ParallelFor(num_shards, [&](size_t shard) {
-    const uint64_t begin = row_lo + num_rows * shard / num_shards;
-    const uint64_t end = row_lo + num_rows * (shard + 1) / num_shards - 1;
-    shard_results[shard] =
-        ScanRows(q, cutoff, static_cast<uint32_t>(begin),
-                 static_cast<uint32_t>(end), col_lo, col_hi, row_lo, row_hi);
-  });
-  uint64_t count = 0;
-  for (const auto& [shard_count, shard_evicted] : shard_results) {
-    count += shard_count;
-    size_ -= shard_evicted;
-  }
+  const auto [count, evicted] =
+      ScanRows(q, cutoff, row_lo, row_hi, col_lo, col_hi);
+  size_ -= evicted;
   return count;
 }
 
@@ -177,7 +144,6 @@ uint64_t GridIndex::BatchScanRows(const std::vector<BatchPlan>& plans,
                                   bool want_kws, bool want_ts,
                                   uint64_t* counts,
                                   BatchScanScratch* scratch) {
-  // One Reader per scan, as in ScanRows: shards never share slice caches.
   const stream::WindowStore::Reader reader(*store_);
   uint64_t evicted = 0;
   GatheredRows* gathered = &scratch->rows;
@@ -349,9 +315,7 @@ void GridIndex::CountMatchesBatch(const stream::Query* const* queries,
   std::vector<BatchPlan> plans;
   plans.reserve(k);
   stream::Timestamp min_cutoff = std::numeric_limits<stream::Timestamp>::max();
-  uint32_t u_col_lo = 0;
   uint32_t u_row_lo = 0;
-  uint32_t u_col_hi = 0;
   uint32_t u_row_hi = 0;
   for (size_t i = 0; i < k; ++i) {
     counts[i] = 0;
@@ -369,14 +333,10 @@ void GridIndex::CountMatchesBatch(const stream::Query* const* queries,
       continue;  // Range misses the grid: zero matches, skip the scan.
     }
     if (plans.empty()) {
-      u_col_lo = plan.col_lo;
       u_row_lo = plan.row_lo;
-      u_col_hi = plan.col_hi;
       u_row_hi = plan.row_hi;
     } else {
-      u_col_lo = std::min(u_col_lo, plan.col_lo);
       u_row_lo = std::min(u_row_lo, plan.row_lo);
-      u_col_hi = std::max(u_col_hi, plan.col_hi);
       u_row_hi = std::max(u_row_hi, plan.row_hi);
     }
     min_cutoff = std::min(min_cutoff, plan.cutoff);
@@ -396,35 +356,8 @@ void GridIndex::CountMatchesBatch(const stream::Query* const* queries,
             [](const BatchPlan& a, const BatchPlan& b) {
               return a.col_lo < b.col_lo;
             });
-  const uint64_t num_rows = u_row_hi - u_row_lo + 1;
-  const uint64_t num_cells = num_rows * (u_col_hi - u_col_lo + 1);
-  if (pool_ == nullptr || pool_->num_threads() == 0 ||
-      num_cells < kMinCellsForSharding || num_rows < 2) {
-    size_ -= BatchScanRows(plans, min_cutoff, u_row_lo, u_row_hi, want_kws,
-                           want_ts, counts, &batch_scratch_);
-    return;
-  }
-  // Row-band sharding, as in CountMatches: each cell is evicted and
-  // gathered by exactly one shard; per-shard count slots are summed after
-  // the join in shard order, which is exact for integer tallies.
-  const uint32_t num_shards = static_cast<uint32_t>(std::min<uint64_t>(
-      num_rows, static_cast<uint64_t>(pool_->num_threads())));
-  std::vector<std::vector<uint64_t>> shard_counts(
-      num_shards, std::vector<uint64_t>(k, 0));
-  std::vector<uint64_t> shard_evicted(num_shards, 0);
-  pool_->ParallelFor(num_shards, [&](size_t shard) {
-    const uint64_t begin = u_row_lo + num_rows * shard / num_shards;
-    const uint64_t end = u_row_lo + num_rows * (shard + 1) / num_shards - 1;
-    BatchScanScratch scratch;
-    shard_evicted[shard] = BatchScanRows(
-        plans, min_cutoff, static_cast<uint32_t>(begin),
-        static_cast<uint32_t>(end), want_kws, want_ts,
-        shard_counts[shard].data(), &scratch);
-  });
-  for (uint32_t shard = 0; shard < num_shards; ++shard) {
-    for (size_t i = 0; i < k; ++i) counts[i] += shard_counts[shard][i];
-    size_ -= shard_evicted[shard];
-  }
+  size_ -= BatchScanRows(plans, min_cutoff, u_row_lo, u_row_hi, want_kws,
+                         want_ts, counts, &batch_scratch_);
 }
 
 void GridIndex::Clear() {

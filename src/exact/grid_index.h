@@ -20,7 +20,6 @@
 #include "geo/grid.h"
 #include "stream/query.h"
 #include "stream/window_store.h"
-#include "util/thread_pool.h"
 
 namespace latest::exact {
 
@@ -54,8 +53,7 @@ class GridIndex {
   /// once and sweeping them with the SIMD kernels for every covering
   /// query. counts[i] receives the match count of *queries[i] under
   /// cutoffs[i], bit-identical to CountMatches(*queries[i], cutoffs[i])
-  /// at every kernel tier and thread count (large batches row-band shard
-  /// across the pool like CountMatches).
+  /// at every kernel tier.
   void CountMatchesBatch(const stream::Query* const* queries,
                          const stream::Timestamp* cutoffs, size_t k,
                          uint64_t* counts);
@@ -67,14 +65,6 @@ class GridIndex {
 
   /// Drops all rows.
   void Clear();
-
-  /// Shards CountMatches row bands across `pool` when the candidate cell
-  /// range is large enough to amortize dispatch. Pass null (the default)
-  /// for fully serial scans. The pool is borrowed, not owned, and must
-  /// outlive the index. Results are bit-identical to the serial path:
-  /// each cell is scanned (and lazily evicted) by exactly one shard and
-  /// per-shard counts are summed after the join.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
  private:
   /// One grid cell: row refs in arrival order; [head, rows.size()) live.
@@ -97,18 +87,14 @@ class GridIndex {
   uint64_t EvictCell(Cell* cell, const stream::WindowStore::Reader& reader,
                      stream::Timestamp cutoff);
 
-  /// Serial scan of rows [row_lo, row_hi] x cols [col_lo, col_hi];
-  /// returns {matches, evicted} without touching size_.
-  /// [range_row_lo, range_row_hi] is the full candidate row range of the
-  /// query (a superset of the scanned band under sharding): cells strictly
-  /// inside the candidate range are fully covered by the query range and
-  /// count in O(1) without reading locations.
+  /// Scan of the query's candidate cells rows [row_lo, row_hi] x cols
+  /// [col_lo, col_hi]; returns {matches, evicted} without touching size_.
+  /// Cells strictly inside the candidate range are fully covered by the
+  /// query range and count in O(1) without reading locations.
   std::pair<uint64_t, uint64_t> ScanRows(const stream::Query& q,
                                          stream::Timestamp cutoff,
                                          uint32_t row_lo, uint32_t row_hi,
-                                         uint32_t col_lo, uint32_t col_hi,
-                                         uint32_t range_row_lo,
-                                         uint32_t range_row_hi);
+                                         uint32_t col_lo, uint32_t col_hi);
 
   /// One batch query's candidate cell box + cutoff (see grid_index.cc).
   struct BatchPlan;
@@ -116,8 +102,8 @@ class GridIndex {
   /// Reusable per-scan state of one BatchScanRows call: the gathered SoA,
   /// the per-cell [start, end) SoA offsets (only covered cells are ever
   /// written or read, so they are never cleared), and the row-bucketing
-  /// arrays of the gather phase. The serial path keeps one as a member so
-  /// steady state allocates nothing; shards build their own.
+  /// arrays of the gather phase. Kept as a member so steady state
+  /// allocates nothing.
   struct BatchScanScratch {
     GatheredRows rows;
     std::vector<uint32_t> off_lo;
@@ -127,7 +113,8 @@ class GridIndex {
     std::vector<uint32_t> cursor;
   };
 
-  /// Batch counterpart of ScanRows over one row band, in two phases.
+  /// Batch counterpart of ScanRows over the batch's candidate rows
+  /// [row_lo, row_hi], in two phases.
   /// Gather: plans (col_lo-sorted by the caller) are bucketed by grid
   /// row, their col ranges merged into covered-column intervals, and
   /// every covered cell is evicted at the batch-minimum cutoff and its
@@ -146,8 +133,6 @@ class GridIndex {
   geo::Grid grid_;
   std::vector<Cell> cells_;
   uint64_t size_ = 0;
-  util::ThreadPool* pool_ = nullptr;
-  /// Serial-path batch scan scratch (shards use their own).
   BatchScanScratch batch_scratch_;
 };
 

@@ -14,9 +14,6 @@ namespace {
 /// at least half the buffer (mirrors GridIndex cells).
 constexpr uint32_t kMinHeadForCompaction = 32;
 
-/// Minimum batch size before query bands are worth sharding.
-constexpr size_t kMinBatchForSharding = 4;
-
 /// A ranged multi-keyword query takes the dense path (full-store SIMD
 /// rect mask + AND/popcount) once its candidates exceed 1/8 of the
 /// resident rows; sparser candidate sets iterate their bits instead.
@@ -265,69 +262,47 @@ void InvertedIndex::CountMatchesBatch(const stream::Query* const* queries,
 
   const Row base0 = store_->first_live_row();
   const Row end_row = store_->end_row();
-  {
-    // Serial phase: evict every batch keyword once at the batch-minimum
-    // cutoff (queries with stricter cutoffs mask the stale prefix later)
-    // and build the hot-keyword bitmap index — keywords shared by two or
-    // more multi-keyword queries get their posting rows materialized as a
-    // bitmap OR-ed by each user instead of re-walked.
-    const stream::WindowStore::Reader reader(*store_);
-    batch_kws_.clear();
-    for (size_t i = 0; i < k; ++i) {
-      assert(queries[i]->HasKeywords());
-      const bool multi = queries[i]->keywords.size() >= 2;
-      for (const stream::KeywordId id : queries[i]->keywords) {
-        batch_kws_.emplace_back(id, multi);
-      }
+  const stream::WindowStore::Reader reader(*store_);
+  // Evict every batch keyword once at the batch-minimum cutoff (queries
+  // with stricter cutoffs mask the stale prefix later) and build the
+  // hot-keyword bitmap index — keywords shared by two or more
+  // multi-keyword queries get their posting rows materialized as a
+  // bitmap OR-ed by each user instead of re-walked.
+  batch_kws_.clear();
+  for (size_t i = 0; i < k; ++i) {
+    assert(queries[i]->HasKeywords());
+    const bool multi = queries[i]->keywords.size() >= 2;
+    for (const stream::KeywordId id : queries[i]->keywords) {
+      batch_kws_.emplace_back(id, multi);
     }
-    std::sort(batch_kws_.begin(), batch_kws_.end());
-    hot_ids_.clear();
-    const size_t words = simd::MaskWords(end_row - base0);
-    size_t next_mask = 0;
-    for (size_t i = 0; i < batch_kws_.size();) {
-      const stream::KeywordId id = batch_kws_[i].first;
-      size_t multi_uses = 0;
-      for (; i < batch_kws_.size() && batch_kws_[i].first == id; ++i) {
-        if (batch_kws_[i].second) ++multi_uses;
+  }
+  std::sort(batch_kws_.begin(), batch_kws_.end());
+  hot_ids_.clear();
+  const size_t words = simd::MaskWords(end_row - base0);
+  size_t next_mask = 0;
+  for (size_t i = 0; i < batch_kws_.size();) {
+    const stream::KeywordId id = batch_kws_[i].first;
+    size_t multi_uses = 0;
+    for (; i < batch_kws_.size() && batch_kws_[i].first == id; ++i) {
+      if (batch_kws_[i].second) ++multi_uses;
+    }
+    if (id >= postings_.size()) continue;
+    PostingList& list = postings_[id];
+    EvictList(&list, reader, min_cutoff);
+    if (multi_uses >= 2 && list.head < list.rows.size() && words > 0) {
+      if (next_mask == hot_masks_.size()) hot_masks_.emplace_back();
+      std::vector<uint64_t>& mask = hot_masks_[next_mask];
+      mask.assign(words, 0);
+      const size_t n = list.rows.size();
+      for (size_t j = list.head; j < n; ++j) {
+        const Row bit = list.rows[j] - base0;
+        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
       }
-      if (id >= postings_.size()) continue;
-      PostingList& list = postings_[id];
-      EvictList(&list, reader, min_cutoff);
-      if (multi_uses >= 2 && list.head < list.rows.size() && words > 0) {
-        if (next_mask == hot_masks_.size()) hot_masks_.emplace_back();
-        std::vector<uint64_t>& mask = hot_masks_[next_mask];
-        mask.assign(words, 0);
-        const size_t n = list.rows.size();
-        for (size_t j = list.head; j < n; ++j) {
-          const Row bit = list.rows[j] - base0;
-          mask[bit >> 6] |= uint64_t{1} << (bit & 63);
-        }
-        hot_ids_.emplace_back(id, static_cast<uint32_t>(next_mask));
-        ++next_mask;
-      }
+      hot_ids_.emplace_back(id, static_cast<uint32_t>(next_mask));
+      ++next_mask;
     }
   }
 
-  // Parallel phase: postings are read-only now; queries shard into
-  // contiguous bands with per-shard readers and scratch, each writing its
-  // own counts slots — deterministic at any thread count.
-  if (pool_ != nullptr && pool_->num_threads() > 0 &&
-      k >= kMinBatchForSharding) {
-    const uint32_t num_shards = static_cast<uint32_t>(
-        std::min<size_t>(k, pool_->num_threads()));
-    pool_->ParallelFor(num_shards, [&](size_t shard) {
-      const size_t begin = k * shard / num_shards;
-      const size_t end = k * (shard + 1) / num_shards;
-      const stream::WindowStore::Reader reader(*store_);
-      BatchScratch scratch;
-      for (size_t i = begin; i < end; ++i) {
-        EvalBatchQuery(*queries[i], cutoffs[i], min_cutoff, base0, end_row,
-                       reader, &scratch, &counts[i]);
-      }
-    });
-    return;
-  }
-  const stream::WindowStore::Reader reader(*store_);
   for (size_t i = 0; i < k; ++i) {
     EvalBatchQuery(*queries[i], cutoffs[i], min_cutoff, base0, end_row,
                    reader, &serial_scratch_, &counts[i]);

@@ -21,7 +21,6 @@
 #include "exact/row_scan.h"
 #include "stream/query.h"
 #include "stream/window_store.h"
-#include "util/thread_pool.h"
 
 namespace latest::exact {
 
@@ -50,16 +49,10 @@ class InvertedIndex {
   /// keywords (shared by two or more multi-keyword queries), and counts
   /// via bitmap OR/popcount and the SIMD rect kernels. counts[i] receives
   /// the match count of *queries[i] under cutoffs[i], bit-identical to
-  /// CountMatches(*queries[i], cutoffs[i]) at every kernel tier and
-  /// thread count (large batches query-band shard across the pool).
+  /// CountMatches(*queries[i], cutoffs[i]) at every kernel tier.
   void CountMatchesBatch(const stream::Query* const* queries,
                          const stream::Timestamp* cutoffs, size_t k,
                          uint64_t* counts);
-
-  /// Shards CountMatchesBatch query bands across `pool` (borrowed, must
-  /// outlive the index); null keeps batches serial. Single-query
-  /// CountMatches is unaffected.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// Removes all postings with timestamp < cutoff.
   void EvictBefore(stream::Timestamp cutoff);
@@ -91,8 +84,7 @@ class InvertedIndex {
   uint32_t PrepareSeenEpoch();
 
   /// Per-evaluation scratch of the batch path: candidate/rect/slab
-  /// bitmaps plus gather columns. One per shard, reused across the
-  /// shard's queries.
+  /// bitmaps plus gather columns, reused across batches.
   struct BatchScratch {
     std::vector<uint64_t> cand;
     std::vector<uint64_t> rect;
@@ -101,8 +93,7 @@ class InvertedIndex {
   };
 
   /// Evaluates one batch query against the (already evicted) postings.
-  /// Read-only on the index; safe to call concurrently with per-shard
-  /// readers and scratch.
+  /// Read-only on the index.
   void EvalBatchQuery(const stream::Query& q, stream::Timestamp cutoff,
                       stream::Timestamp min_cutoff, Row base0, Row end_row,
                       const stream::WindowStore::Reader& reader,
@@ -114,7 +105,6 @@ class InvertedIndex {
   const stream::WindowStore* store_;
   std::vector<PostingList> postings_;
   uint64_t num_postings_ = 0;
-  util::ThreadPool* pool_ = nullptr;
 
   /// Batch-scoped hot-keyword bitmap index: hot_ids_ maps keyword id ->
   /// slot in hot_masks_ (sorted by id; rebuilt per batch, buffers

@@ -286,11 +286,8 @@ HttpResponse IntrospectionServer::HandleStatusz(
   AppendF(&page, "arena bytes:        %.0f\n",
           GaugeOr(registry, "latest_store_arena_bytes", 0.0));
 
-  // Threads / persistence.
+  // Persistence.
   page += "\n-- runtime --\n";
-  AppendF(&page, "pool queue depth:   %.0f\n",
-          GaugeOr(registry, "latest_pool_queue_depth", 0.0,
-                  {{"pool", "estimation"}}));
   AppendF(&page, "wal lag (records):  %.0f\n",
           GaugeOr(registry, "persist_wal_lag_records", 0.0));
   AppendF(&page, "wal bytes:          %.0f\n",

@@ -9,7 +9,7 @@
 //              rule is breached or the checkpoint freshness bound is blown
 //   /statusz   human-readable lifecycle page: phase, active/candidate
 //              estimator, monitor accuracy vs the tau and tau/beta
-//              thresholds, window occupancy, pool queue depth, WAL lag,
+//              thresholds, window occupancy, WAL lag,
 //              scoreboard, SLO rule states, stage latencies, recent events
 //   /tracez    span/trace collector status; /tracez?dump returns the
 //              retained spans as Chrome trace-event JSON for Perfetto

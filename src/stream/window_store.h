@@ -18,7 +18,7 @@
 //
 // Threading: Append/DropBefore/Clear are single-writer; Reader-based
 // lookups are safe from many threads concurrently as long as no writer
-// runs (the sharded exact scans of PR 2 create one Reader per shard).
+// runs.
 
 #ifndef LATEST_STREAM_WINDOW_STORE_H_
 #define LATEST_STREAM_WINDOW_STORE_H_

@@ -36,7 +36,6 @@ LatestConfig MakeConfig(const ScenarioSpec& spec,
   config.maintain_shadow_estimators = true;
   config.alpha = 0.0;
   config.seed = spec.seed;
-  config.num_threads = options.threads;
   // Detector sensitivity for the replay gates: the gradual scenarios
   // (centroid_drift, vocab_churn) raise Page-Hinkley's cumulative
   // statistic to ~0.4 before their ramps settle, which the stock 0.5
@@ -122,7 +121,6 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
   ScenarioOutcome outcome;
   outcome.spec = spec;
   outcome.gate = entry.gate;
-  outcome.threads = options.threads;
   outcome.tau = config.tau;
 
   // Injection bookkeeping: lifetime queries answered when each onset
@@ -367,7 +365,6 @@ std::string ToResultJson(const ScenarioOutcome& outcome) {
   out << "{\"experiment\":\"scenario_replay\",\"point\":\""
       << outcome.spec.name << "\",\"scenario\":\"" << outcome.spec.name
       << "\",\"objects\":" << outcome.objects
-      << ",\"threads\":" << outcome.threads
       << ",\"queries\":" << outcome.queries
       << ",\"incremental_queries\":" << outcome.incremental_queries
       << ",\"mean_accuracy\":";

@@ -36,9 +36,6 @@
 namespace latest::workload {
 
 struct ScenarioRunOptions {
-  /// Estimation-pool worker threads (0 = inline). The lifecycle is
-  /// deterministic in this knob at alpha = 0.
-  uint32_t threads = 0;
   /// When non-empty, arms the flight recorder and dumps a "scenario"
   /// postmortem bundle at the end of the run.
   std::string postmortem_dir;
@@ -65,7 +62,6 @@ struct InjectionOutcome {
 struct ScenarioOutcome {
   ScenarioSpec spec;
   ScenarioGate gate;
-  uint32_t threads = 0;
 
   uint64_t objects = 0;
   uint64_t queries = 0;

@@ -1,9 +1,8 @@
 // Batch-vs-scalar crosscheck: CountMatchesBatch on every index backend
 // and TrueSelectivityBatch on the evaluator must be bit-identical to the
-// per-query scalar path at every kernel tier (scalar, SSE2, AVX2) and
-// every thread-pool size (0, 1, 4, 8), including degenerate query
-// batches (empty rects, missed grids, empty keyword sets, staggered
-// cutoffs that straddle slice boundaries). The histogram batch-insert
+// per-query scalar path at every kernel tier (scalar, SSE2, AVX2),
+// including degenerate query batches (empty rects, missed grids, empty
+// keyword sets, staggered cutoffs that straddle slice boundaries). The histogram batch-insert
 // path is crosschecked via persisted-state equality.
 
 #include <algorithm>
@@ -24,7 +23,6 @@
 #include "stream/window_store.h"
 #include "tests/test_stream.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace latest::exact {
 namespace {
@@ -102,16 +100,14 @@ std::vector<Query> MakeQueryBatch(size_t k, uint64_t seed) {
   return batch;
 }
 
-/// Per-tier, per-thread-count sweep shared by the index crosschecks.
+/// Per-tier sweep shared by the index crosschecks.
 template <typename Fn>
-void ForEachTierAndThreads(Fn&& fn) {
+void ForEachTier(Fn&& fn) {
   TierGuard guard;
   const int highest = static_cast<int>(simd::HighestSupportedTier());
   for (int t = 0; t <= highest; ++t) {
     ASSERT_TRUE(simd::SetActiveTier(static_cast<simd::KernelTier>(t)));
-    for (const uint32_t threads : {0u, 1u, 4u, 8u}) {
-      fn(static_cast<simd::KernelTier>(t), threads);
-    }
+    fn(static_cast<simd::KernelTier>(t));
   }
 }
 
@@ -128,21 +124,18 @@ std::vector<uint64_t> ScalarReference(const std::vector<GeoTextObject>& objects,
   return counts;
 }
 
-TEST(BatchCrosscheck, EvaluatorBatchMatchesScalarAtEveryTierAndThreads) {
+TEST(BatchCrosscheck, EvaluatorBatchMatchesScalarAtEveryTier) {
   const auto objects = MakeUniformObjects(4000, 5, kStreamMs);
   const auto batch = MakeQueryBatch(64, 99);
   const auto expect = ScalarReference(objects, batch);
-  ForEachTierAndThreads([&](simd::KernelTier tier, uint32_t threads) {
-    util::ThreadPool pool(threads);
+  ForEachTier([&](simd::KernelTier tier) {
     ExactEvaluator eval(kBounds, kStreamMs);
-    eval.set_thread_pool(&pool);
     for (const auto& obj : objects) eval.Insert(obj);
     std::vector<uint64_t> counts(batch.size(), ~uint64_t{0});
     eval.TrueSelectivityBatch(batch.data(), batch.size(), counts.data());
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_EQ(counts[i], expect[i])
-          << "tier=" << simd::KernelTierName(tier) << " threads=" << threads
-          << " query=" << i;
+          << "tier=" << simd::KernelTierName(tier) << " query=" << i;
     }
   });
 }
@@ -176,12 +169,10 @@ TEST(BatchCrosscheck, GridIndexBatchMatchesScalar) {
     qs.push_back(&q);
     cutoffs.push_back(q.timestamp - kStreamMs / 2);
   }
-  ForEachTierAndThreads([&](simd::KernelTier tier, uint32_t threads) {
-    util::ThreadPool pool(threads);
+  ForEachTier([&](simd::KernelTier tier) {
     WindowStore store(kSliceMs);
     GridIndex scalar_index(&store, kBounds, 8, 8);
     GridIndex batch_index(&store, kBounds, 8, 8);
-    batch_index.set_thread_pool(&pool);
     for (const auto& obj : objects) {
       const WindowStore::Row row = store.Append(obj);
       scalar_index.Insert(row);
@@ -192,8 +183,7 @@ TEST(BatchCrosscheck, GridIndexBatchMatchesScalar) {
                                   counts.data());
     for (size_t i = 0; i < qs.size(); ++i) {
       EXPECT_EQ(counts[i], scalar_index.CountMatches(*qs[i], cutoffs[i]))
-          << "tier=" << simd::KernelTierName(tier) << " threads=" << threads
-          << " query=" << i;
+          << "tier=" << simd::KernelTierName(tier) << " query=" << i;
     }
   });
 }
@@ -248,12 +238,10 @@ TEST(BatchCrosscheck, InvertedIndexBatchMatchesScalar) {
     qs.push_back(&q);
     cutoffs.push_back(q.timestamp - kStreamMs / 2);
   }
-  ForEachTierAndThreads([&](simd::KernelTier tier, uint32_t threads) {
-    util::ThreadPool pool(threads);
+  ForEachTier([&](simd::KernelTier tier) {
     WindowStore store(kSliceMs);
     InvertedIndex scalar_index(&store);
     InvertedIndex batch_index(&store);
-    batch_index.set_thread_pool(&pool);
     for (const auto& obj : objects) {
       const WindowStore::Row row = store.Append(obj);
       scalar_index.Insert(row);
@@ -264,8 +252,7 @@ TEST(BatchCrosscheck, InvertedIndexBatchMatchesScalar) {
                                   counts.data());
     for (size_t i = 0; i < qs.size(); ++i) {
       EXPECT_EQ(counts[i], scalar_index.CountMatches(*qs[i], cutoffs[i]))
-          << "tier=" << simd::KernelTierName(tier) << " threads=" << threads
-          << " query=" << i;
+          << "tier=" << simd::KernelTierName(tier) << " query=" << i;
     }
   });
 }

@@ -3,7 +3,7 @@
 // slice-rotation-driven eviction, and a mixed query stream — the
 // ExactEvaluator's counts must be bit-identical (a) to a copy-based
 // reference evaluator replicating the pre-columnar semantics, and (b)
-// across every thread count (serial, 1, 4, 8 worker threads).
+// across every kernel tier (scalar, SSE2, AVX2).
 
 #include <cstdint>
 #include <deque>
@@ -12,10 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "exact/exact_evaluator.h"
+#include "simd/kernels.h"
 #include "stream/sliding_window.h"
 #include "tests/test_stream.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace latest::exact {
 namespace {
@@ -66,11 +66,10 @@ stream::Query NextQuery(util::Rng* rng) {
   return testing_support::MakeHybridQuery(r, std::move(kws));
 }
 
-/// Runs the full lifecycle at `num_threads`, returning every exact count.
-std::vector<uint64_t> RunColumnarLifecycle(uint32_t num_threads) {
-  util::ThreadPool pool(num_threads);
+/// Runs the full lifecycle at the active kernel tier, returning every
+/// exact count.
+std::vector<uint64_t> RunColumnarLifecycle() {
   ExactEvaluator evaluator(kTestBounds, kWindow.window_length_ms);
-  if (num_threads > 0) evaluator.set_thread_pool(&pool);
 
   const auto objects = testing_support::MakeClusteredObjects(
       8000, /*seed=*/13, /*duration=*/4000);
@@ -114,15 +113,22 @@ std::vector<uint64_t> RunReferenceLifecycle() {
 TEST(ColumnarCrosscheckTest, MatchesCopyBasedReferenceSerially) {
   const std::vector<uint64_t> reference = RunReferenceLifecycle();
   ASSERT_GT(reference.size(), 500u);
-  EXPECT_EQ(RunColumnarLifecycle(0), reference);
+  EXPECT_EQ(RunColumnarLifecycle(), reference);
 }
 
-TEST(ColumnarCrosscheckTest, BitIdenticalAcrossThreadCounts) {
-  const std::vector<uint64_t> serial = RunColumnarLifecycle(0);
-  ASSERT_GT(serial.size(), 500u);
-  EXPECT_EQ(RunColumnarLifecycle(1), serial);
-  EXPECT_EQ(RunColumnarLifecycle(4), serial);
-  EXPECT_EQ(RunColumnarLifecycle(8), serial);
+TEST(ColumnarCrosscheckTest, BitIdenticalAcrossKernelTiers) {
+  const simd::KernelTier saved = simd::ActiveTier();
+  ASSERT_TRUE(simd::SetActiveTier(simd::KernelTier::kScalar));
+  const std::vector<uint64_t> scalar = RunColumnarLifecycle();
+  ASSERT_GT(scalar.size(), 500u);
+  const int highest = static_cast<int>(simd::HighestSupportedTier());
+  for (int t = 1; t <= highest; ++t) {
+    const auto tier = static_cast<simd::KernelTier>(t);
+    ASSERT_TRUE(simd::SetActiveTier(tier));
+    EXPECT_EQ(RunColumnarLifecycle(), scalar)
+        << "tier=" << simd::KernelTierName(tier);
+  }
+  simd::SetActiveTier(saved);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "stream/window_store.h"
 #include "tests/test_stream.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace latest::exact {
 namespace {
@@ -113,32 +112,6 @@ TEST(GridIndexTest, FullDomainQueryCountsEverything) {
   GridIndex index(&store, kBounds, 8, 8);
   FeedStore(&store, &index, objects);
   EXPECT_EQ(index.CountMatches(MakeSpatialQuery({-10, -10, 110, 110}), 0), 500u);
-}
-
-TEST(GridIndexTest, ShardedCountsMatchSerialBitForBit) {
-  // Same stream into a serial index and one counting on a 4-thread pool:
-  // counts (unsigned sums) and lazy-eviction sizes must agree exactly on
-  // every query, including cutoffs that trigger concurrent eviction.
-  const auto objects = MakeUniformObjects(3000, 30);
-  util::ThreadPool pool(4);
-  WindowStore store(kSliceMs);
-  GridIndex serial(&store, kBounds, 8, 8);
-  GridIndex sharded(&store, kBounds, 8, 8);
-  sharded.set_thread_pool(&pool);
-  for (const auto& obj : objects) {
-    const WindowStore::Row row = store.Append(obj);
-    serial.Insert(row);
-    sharded.Insert(row);
-  }
-  util::Rng rng(31);
-  for (int iter = 0; iter < 60; ++iter) {
-    const geo::Point c{rng.NextDouble(0, 100), rng.NextDouble(0, 100)};
-    const Query q = MakeSpatialQuery(geo::Rect::FromCenter(
-        c, rng.NextDouble(1, 80), rng.NextDouble(1, 80)));
-    const Timestamp cutoff = static_cast<Timestamp>(rng.NextBounded(9000));
-    EXPECT_EQ(sharded.CountMatches(q, cutoff), serial.CountMatches(q, cutoff));
-    EXPECT_EQ(sharded.size(), serial.size());
-  }
 }
 
 // --------------------------------------------------------------------
@@ -278,7 +251,7 @@ TEST(InvertedIndexTest, UnknownKeywordCountsZero) {
 // --------------------------------------------------------------------
 // Window boundary semantics: an object stamped exactly at the cutoff is
 // inside the window (eviction is strictly timestamp < cutoff), and every
-// backend — grid, quadtree, inverted, serial or sharded — must agree.
+// backend — grid, quadtree, inverted — must agree.
 
 /// Objects straddling a boundary: ts in {cutoff - 1, cutoff, cutoff + 1},
 /// all carrying keyword 5, spread over distinct locations.
@@ -333,35 +306,6 @@ TEST(WindowBoundaryTest, CutoffTimestampRetainedByAllBackends) {
   EXPECT_EQ(grid.CountMatches(spatial, kCutoff), expected);
   EXPECT_EQ(quadtree.CountMatches(spatial, kCutoff), expected);
   EXPECT_EQ(inverted.CountMatches(keyword, kCutoff), expected);
-}
-
-TEST(WindowBoundaryTest, ShardedCountMatchesSerialAtBoundary) {
-  // A cutoff equal to many objects' timestamp: the sharded scan's lazy
-  // eviction must agree with the serial one on both count and size.
-  constexpr Timestamp kCutoff = 5000;
-  const auto boundary = MakeBoundaryObjects(kCutoff);
-  auto objects = MakeUniformObjects(2000, 19);
-  objects.insert(objects.end(), boundary.begin(), boundary.end());
-  std::sort(objects.begin(), objects.end(),
-            [](const GeoTextObject& a, const GeoTextObject& b) {
-              return a.timestamp < b.timestamp;
-            });
-
-  util::ThreadPool pool(4);
-  WindowStore store(kSliceMs);
-  GridIndex serial(&store, kBounds, 8, 8);
-  GridIndex sharded(&store, kBounds, 8, 8);
-  sharded.set_thread_pool(&pool);
-  for (const auto& obj : objects) {
-    const WindowStore::Row row = store.Append(obj);
-    serial.Insert(row);
-    sharded.Insert(row);
-  }
-  const Query q = MakeSpatialQuery(kBounds);
-  EXPECT_EQ(sharded.CountMatches(q, kCutoff), serial.CountMatches(q, kCutoff));
-  EXPECT_EQ(sharded.size(), serial.size());
-  EXPECT_EQ(serial.CountMatches(q, kCutoff),
-            BruteForceCount(objects, q, kCutoff));
 }
 
 // --------------------------------------------------------------------

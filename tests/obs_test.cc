@@ -1,7 +1,8 @@
 // Tests for the telemetry subsystem: metrics registry semantics,
 // histogram percentiles against a sorted reference, exposition formats,
-// event-log ring wraparound, trace sampling, and the end-to-end lifecycle
-// event sequence of a forced estimator switch.
+// event-log ring wraparound, trace sampling, the end-to-end lifecycle
+// event sequence of a forced estimator switch, and the module stats
+// snapshot.
 
 #include <algorithm>
 #include <string>
@@ -385,3 +386,59 @@ TEST(LifecycleEventsTest, TracesAreSampledDuringTheRun) {
 
 }  // namespace
 }  // namespace latest::obs
+
+// --------------------------------------------------------------------
+// ModuleStats snapshot
+
+namespace latest::core {
+namespace {
+
+LatestConfig StatsConfig() {
+  LatestConfig config;
+  config.bounds = testing_support::kTestBounds;
+  config.window.window_length_ms = 1000;
+  config.window.num_slices = 10;
+  config.pretrain_queries = 10;
+  config.monitor_window = 8;
+  return config;
+}
+
+TEST(ModuleStatsTest, SnapshotReflectsModule) {
+  auto module = std::move(LatestModule::Create(StatsConfig())).value();
+  const auto objects = testing_support::MakeClusteredObjects(3000, 3, 2000);
+  for (const auto& obj : objects) {
+    module->OnObject(obj);
+    if (obj.timestamp >= 1000 && obj.oid % 25 == 0) {
+      stream::Query q = testing_support::MakeSpatialQuery({20, 20, 40, 40});
+      q.timestamp = obj.timestamp;
+      module->OnQuery(q);
+    }
+  }
+  const ModuleStats stats = module->GetStats();
+  EXPECT_EQ(stats.objects_ingested, 3000u);
+  EXPECT_EQ(stats.queries_answered, module->queries_answered());
+  EXPECT_EQ(stats.window_population, module->window_population());
+  EXPECT_EQ(stats.phase, module->phase());
+  EXPECT_EQ(stats.active, module->active_kind());
+  EXPECT_EQ(stats.model_records, module->model().num_trained());
+  // Paper portfolio enabled, CMS extension disabled by default.
+  EXPECT_TRUE(stats.enabled[0]);
+  EXPECT_FALSE(
+      stats.enabled[static_cast<uint32_t>(estimators::EstimatorKind::kCmSketch)]);
+  // Spatial cells of enabled estimators carry measurements.
+  EXPECT_GT(stats.scoreboard[0][static_cast<uint32_t>(stats.active)].accuracy,
+            0.0);
+}
+
+TEST(ModuleStatsTest, FormatContainsKeyFields) {
+  auto module = std::move(LatestModule::Create(StatsConfig())).value();
+  const auto text = FormatStats(module->GetStats());
+  EXPECT_NE(text.find("phase=warmup"), std::string::npos);
+  EXPECT_NE(text.find("active=RSH"), std::string::npos);
+  EXPECT_NE(text.find("scoreboard"), std::string::npos);
+  EXPECT_NE(text.find("H4096"), std::string::npos);
+  EXPECT_EQ(text.find("CMS"), std::string::npos);  // Disabled by default.
+}
+
+}  // namespace
+}  // namespace latest::core

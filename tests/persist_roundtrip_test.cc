@@ -2,17 +2,16 @@
 // frozen mid-phase with SaveState, restored into a brand-new process
 // image (a fresh LatestModule), and continued must produce bit-identical
 // estimates, switch decisions, and model statistics to a run that never
-// stopped — at any thread count, including restoring into a different
-// thread count than the one that saved (the lifecycle is thread-count
-// invariant and num_threads is deliberately outside the snapshot's
-// config fingerprint).
+// stopped. A snapshot taken under a different configuration is refused.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,9 +29,9 @@ using core::LatestModule;
 using core::Phase;
 using core::QueryOutcome;
 
-// Mirrors the parallel-determinism harness: alpha = 0 keeps wall-clock
+// Mirrors the lifecycle determinism harness: alpha = 0 keeps wall-clock
 // latency out of every decision, so bitwise comparison is legitimate.
-LatestConfig RoundtripConfig(uint32_t num_threads) {
+LatestConfig RoundtripConfig() {
   LatestConfig config;
   config.bounds = testing_support::kTestBounds;
   config.window.window_length_ms = 1000;
@@ -45,7 +44,6 @@ LatestConfig RoundtripConfig(uint32_t num_threads) {
   config.maintain_shadow_estimators = true;
   config.alpha = 0.0;
   config.seed = 5;
-  config.num_threads = num_threads;
   return config;
 }
 
@@ -106,11 +104,10 @@ QueryRecord RecordOf(const QueryOutcome& outcome) {
 
 // Runs the full lifecycle. When snapshot_at_query >= 0, the module is
 // serialized right before that query index, discarded, and replaced by a
-// fresh module (built for restore_threads) that loads the snapshot; the
-// remainder of the stream runs on the restored module.
-RunResult RunLifecycle(uint32_t num_threads, int snapshot_at_query = -1,
-                       uint32_t restore_threads = 0) {
-  auto created = LatestModule::Create(RoundtripConfig(num_threads));
+// fresh module that loads the snapshot; the remainder of the stream runs
+// on the restored module.
+RunResult RunLifecycle(int snapshot_at_query = -1) {
+  auto created = LatestModule::Create(RoundtripConfig());
   EXPECT_TRUE(created.ok()) << created.status().ToString();
   std::unique_ptr<LatestModule> module = std::move(created).value();
 
@@ -125,7 +122,7 @@ RunResult RunLifecycle(uint32_t num_threads, int snapshot_at_query = -1,
     if (queries_seen == snapshot_at_query) {
       util::BinaryWriter snapshot;
       module->SaveState(&snapshot);
-      auto fresh = LatestModule::Create(RoundtripConfig(restore_threads));
+      auto fresh = LatestModule::Create(RoundtripConfig());
       EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
       util::BinaryReader reader(snapshot.buffer());
       const util::Status loaded = fresh.value()->LoadState(&reader);
@@ -187,7 +184,7 @@ constexpr int kMidPretraining = 20;
 constexpr int kMidIncremental = 200;
 
 TEST(PersistRoundtripTest, ScenarioCoversEveryPhase) {
-  const RunResult baseline = RunLifecycle(0);
+  const RunResult baseline = RunLifecycle();
   bool saw_pretraining = false;
   bool saw_incremental = false;
   for (const QueryRecord& q : baseline.queries) {
@@ -201,46 +198,71 @@ TEST(PersistRoundtripTest, ScenarioCoversEveryPhase) {
 }
 
 TEST(PersistRoundtripTest, MidPretrainingRoundtripIsBitIdentical) {
-  ExpectIdentical(RunLifecycle(0), RunLifecycle(0, kMidPretraining));
+  ExpectIdentical(RunLifecycle(), RunLifecycle(kMidPretraining));
 }
 
 TEST(PersistRoundtripTest, MidIncrementalRoundtripIsBitIdentical) {
-  ExpectIdentical(RunLifecycle(0), RunLifecycle(0, kMidIncremental));
-}
-
-TEST(PersistRoundtripTest, RoundtripIsBitIdenticalAcrossThreadCounts) {
-  const RunResult baseline = RunLifecycle(0);
-  for (const uint32_t threads : {0u, 1u, 4u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ExpectIdentical(baseline,
-                    RunLifecycle(threads, kMidIncremental, threads));
-  }
-}
-
-TEST(PersistRoundtripTest, RestoreIntoDifferentThreadCountIsBitIdentical) {
-  // Saved by a serial process, restored by a 4-thread one (and the other
-  // way around): the snapshot carries no thread-count dependence.
-  const RunResult baseline = RunLifecycle(0);
-  ExpectIdentical(baseline, RunLifecycle(0, kMidIncremental, 4));
-  ExpectIdentical(baseline, RunLifecycle(4, kMidIncremental, 0));
+  ExpectIdentical(RunLifecycle(), RunLifecycle(kMidIncremental));
 }
 
 TEST(PersistRoundtripTest, ConfigFingerprintMismatchIsRejected) {
-  auto created = LatestModule::Create(RoundtripConfig(0));
+  auto created = LatestModule::Create(RoundtripConfig());
   ASSERT_TRUE(created.ok());
   const auto objects = testing_support::MakeClusteredObjects(500, 13, 1000);
   for (const auto& obj : objects) created.value()->OnObject(obj);
   util::BinaryWriter snapshot;
   created.value()->SaveState(&snapshot);
 
-  LatestConfig other = RoundtripConfig(0);
-  other.tau = other.tau * 0.5 + 0.01;
-  auto fresh = LatestModule::Create(other);
-  ASSERT_TRUE(fresh.ok());
-  util::BinaryReader reader(snapshot.buffer());
-  const util::Status loaded = fresh.value()->LoadState(&reader);
-  EXPECT_EQ(loaded.code(), util::StatusCode::kFailedPrecondition)
-      << loaded.ToString();
+  const auto load_into = [&](const LatestConfig& config) {
+    auto fresh = LatestModule::Create(config);
+    EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+    if (!fresh.ok()) return util::Status::Internal("create failed");
+    util::BinaryReader reader(snapshot.buffer());
+    return fresh.value()->LoadState(&reader);
+  };
+  // Control: the unperturbed configuration accepts its own snapshot, so
+  // every rejection below is down to the one perturbed field.
+  const util::Status same = load_into(RoundtripConfig());
+  EXPECT_TRUE(same.ok()) << same.ToString();
+
+  using Perturb = std::function<void(LatestConfig*)>;
+  const std::vector<std::pair<const char*, Perturb>> perturbations = {
+      {"alpha", [](LatestConfig* c) { c->alpha = 0.5; }},
+      {"tau", [](LatestConfig* c) { c->tau = c->tau * 0.5 + 0.01; }},
+      {"beta", [](LatestConfig* c) { c->beta = 0.75; }},
+      {"regret_margin", [](LatestConfig* c) { c->regret_margin = 0.2; }},
+      {"pretrain_queries", [](LatestConfig* c) { c->pretrain_queries = 41; }},
+      {"monitor_window", [](LatestConfig* c) { c->monitor_window = 17; }},
+      {"min_queries_between_switches",
+       [](LatestConfig* c) { c->min_queries_between_switches = 17; }},
+      {"default_estimator",
+       [](LatestConfig* c) {
+         c->default_estimator = estimators::EstimatorKind::kRsh;
+       }},
+      {"enabled_estimators",
+       [](LatestConfig* c) {
+         c->enabled_estimators[static_cast<uint32_t>(
+             estimators::EstimatorKind::kSpn)] = false;
+       }},
+      {"window_length_ms",
+       [](LatestConfig* c) { c->window.window_length_ms = 2000; }},
+      {"num_slices", [](LatestConfig* c) { c->window.num_slices = 20; }},
+      {"seed", [](LatestConfig* c) { c->seed = 6; }},
+      {"maintain_shadow_estimators",
+       [](LatestConfig* c) { c->maintain_shadow_estimators = false; }},
+      {"auto_retrain_error_threshold",
+       [](LatestConfig* c) { c->auto_retrain_error_threshold = 0.5; }},
+      {"min_queries_between_retrains",
+       [](LatestConfig* c) { c->min_queries_between_retrains = 100; }},
+  };
+  for (const auto& [field, perturb] : perturbations) {
+    SCOPED_TRACE(field);
+    LatestConfig other = RoundtripConfig();
+    perturb(&other);
+    const util::Status loaded = load_into(other);
+    EXPECT_EQ(loaded.code(), util::StatusCode::kFailedPrecondition)
+        << loaded.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -259,7 +281,7 @@ TEST(PersistRoundtripTest, ManagerRecoverReplaysWalToExactState) {
   const std::string dir = MakeTempDir();
   ASSERT_FALSE(dir.empty());
 
-  auto created = LatestModule::Create(RoundtripConfig(0));
+  auto created = LatestModule::Create(RoundtripConfig());
   ASSERT_TRUE(created.ok());
   std::unique_ptr<LatestModule> module = std::move(created).value();
 
@@ -285,7 +307,7 @@ TEST(PersistRoundtripTest, ManagerRecoverReplaysWalToExactState) {
   ASSERT_TRUE(manager->Sync().ok());
   EXPECT_GE(manager->snapshots_taken(), 2u);
 
-  auto recovered = CheckpointManager::Recover(dir, RoundtripConfig(0));
+  auto recovered = CheckpointManager::Recover(dir, RoundtripConfig());
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_FALSE(recovered.value().torn_wal_tail);
   EXPECT_EQ(recovered.value().snapshots_skipped, 0u);

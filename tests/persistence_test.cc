@@ -1,12 +1,11 @@
-// Tests for learned-state persistence: the binary reader/writer, the
-// Hoeffding-tree snapshot, the scoreboard snapshot, and the module-level
-// save/restore round trip.
+// Tests for the persistence primitives: the binary reader/writer and the
+// Hoeffding-tree snapshot. The module-level lifecycle round trip lives in
+// persist_roundtrip_test.cc.
 
 #include <gtest/gtest.h>
 
-#include "core/latest_module.h"
 #include "ml/hoeffding_tree.h"
-#include "tests/test_stream.h"
+#include "util/rng.h"
 #include "util/serialization.h"
 
 namespace latest {
@@ -161,105 +160,6 @@ TEST(TreePersistenceTest, TruncatedSnapshotRejected) {
   // The failed restore leaves a clean, usable stump.
   TrainConcept(&restored, 100, 7);
   EXPECT_EQ(restored.num_trained(), 100u);
-}
-
-// --------------------------------------------------------------------
-// Module-level snapshot
-
-core::LatestConfig SnapConfig() {
-  core::LatestConfig config;
-  config.bounds = testing_support::kTestBounds;
-  config.window.window_length_ms = 1000;
-  config.window.num_slices = 10;
-  config.pretrain_queries = 40;
-  config.monitor_window = 16;
-  return config;
-}
-
-// Streams objects + mixed queries through a module.
-void Exercise(core::LatestModule* module, uint64_t seed) {
-  const auto objects =
-      testing_support::MakeClusteredObjects(4000, seed, 3000);
-  util::Rng rng(seed + 1);
-  for (const auto& obj : objects) {
-    module->OnObject(obj);
-    if (obj.timestamp >= 1000 && obj.oid % 15 == 0) {
-      stream::Query q;
-      if (rng.NextBool(0.5)) {
-        const geo::Point c{rng.NextDouble(10, 90), rng.NextDouble(10, 90)};
-        q = testing_support::MakeSpatialQuery(geo::Rect::FromCenter(
-            c, rng.NextDouble(5, 25), rng.NextDouble(5, 25)));
-      } else {
-        q = testing_support::MakeKeywordQuery(
-            {static_cast<stream::KeywordId>(rng.NextBounded(50))});
-      }
-      q.timestamp = obj.timestamp;
-      module->OnQuery(q);
-    }
-  }
-}
-
-TEST(ModulePersistenceTest, RoundTripRestoresModelAndScoreboard) {
-  auto original = std::move(core::LatestModule::Create(SnapConfig())).value();
-  Exercise(original.get(), 11);
-  ASSERT_GT(original->model().num_trained(), 0u);
-  const std::string snapshot = original->SerializeLearnedState();
-  ASSERT_FALSE(snapshot.empty());
-
-  auto restored = std::move(core::LatestModule::Create(SnapConfig())).value();
-  ASSERT_TRUE(restored->RestoreLearnedState(snapshot).ok());
-  EXPECT_EQ(restored->model().num_trained(),
-            original->model().num_trained());
-  EXPECT_EQ(restored->model().num_leaves(), original->model().num_leaves());
-  // Scoreboard knowledge carried over: the restored module knows the
-  // per-type winners without any pre-training.
-  for (uint32_t t = 0; t < 3; ++t) {
-    const auto type = static_cast<stream::QueryType>(t);
-    EXPECT_EQ(restored->scoreboard().BestFor(type, 0.5),
-              original->scoreboard().BestFor(type, 0.5));
-  }
-  // Model predictions agree.
-  const auto q = testing_support::MakeKeywordQuery({2});
-  EXPECT_EQ(restored->Recommend(q), original->Recommend(q));
-}
-
-TEST(ModulePersistenceTest, RejectsGarbageAndWrongAlpha) {
-  auto module = std::move(core::LatestModule::Create(SnapConfig())).value();
-  EXPECT_FALSE(module->RestoreLearnedState("not a snapshot").ok());
-
-  auto original = std::move(core::LatestModule::Create(SnapConfig())).value();
-  Exercise(original.get(), 13);
-  const std::string snapshot = original->SerializeLearnedState();
-
-  auto different = SnapConfig();
-  different.alpha = 0.9;
-  auto other = std::move(core::LatestModule::Create(different)).value();
-  const auto status = other->RestoreLearnedState(snapshot);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-}
-
-TEST(ModulePersistenceTest, RejectsTrailingBytes) {
-  auto original = std::move(core::LatestModule::Create(SnapConfig())).value();
-  Exercise(original.get(), 15);
-  std::string snapshot = original->SerializeLearnedState();
-  snapshot += "extra";
-  auto restored = std::move(core::LatestModule::Create(SnapConfig())).value();
-  EXPECT_FALSE(restored->RestoreLearnedState(snapshot).ok());
-}
-
-TEST(ModulePersistenceTest, RestoredModuleKeepsOperating) {
-  auto original = std::move(core::LatestModule::Create(SnapConfig())).value();
-  Exercise(original.get(), 17);
-  const std::string snapshot = original->SerializeLearnedState();
-
-  auto restored = std::move(core::LatestModule::Create(SnapConfig())).value();
-  ASSERT_TRUE(restored->RestoreLearnedState(snapshot).ok());
-  // The restored module runs a full fresh stream without issues and keeps
-  // training on top of the restored model.
-  const uint64_t trained_before = restored->model().num_trained();
-  Exercise(restored.get(), 19);
-  EXPECT_GT(restored->model().num_trained(), trained_before);
 }
 
 }  // namespace

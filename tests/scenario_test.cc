@@ -4,7 +4,7 @@
 // within its pinned slice bound. The deterministic-replay regression
 // pins the bit-identical contract: same scenario + seed produces the
 // same SaveDeterministicState digest and the same accuracy-derived
-// counters at 0 and at 4 estimation threads.
+// counters on every run.
 
 #include <cmath>
 #include <cstdint>
@@ -26,10 +26,8 @@ ScenarioCatalogEntry Catalog(const std::string& name) {
   return *entry;
 }
 
-ScenarioOutcome Replay(const ScenarioCatalogEntry& entry, uint32_t threads = 0) {
-  ScenarioRunOptions options;
-  options.threads = threads;
-  auto outcome = RunScenario(entry, options);
+ScenarioOutcome Replay(const ScenarioCatalogEntry& entry) {
+  auto outcome = RunScenario(entry);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   return *outcome;
 }
@@ -354,40 +352,36 @@ TEST(ScenarioRunnerTest, ResultJsonCarriesGateVerdict) {
 
 // ---------------------------------------------------------------------
 // Deterministic replay: same scenario + seed -> bit-identical digest
-// and identical accuracy-derived counters, at 0 and at 4 threads
+// and identical accuracy-derived counters across two runs
 // ---------------------------------------------------------------------
 
-TEST(ScenarioReplayRegressionTest, BitIdenticalAcrossRunsAndThreadCounts) {
+TEST(ScenarioReplayRegressionTest, BitIdenticalAcrossRuns) {
   const ScenarioCatalogEntry entry = Catalog("flip");
-  const ScenarioOutcome first = Replay(entry, /*threads=*/0);
-  const ScenarioOutcome again = Replay(entry, /*threads=*/0);
-  const ScenarioOutcome pooled = Replay(entry, /*threads=*/4);
-  const ScenarioOutcome pooled_again = Replay(entry, /*threads=*/4);
+  const ScenarioOutcome first = Replay(entry);
+  const ScenarioOutcome again = Replay(entry);
 
-  for (const ScenarioOutcome* other : {&again, &pooled, &pooled_again}) {
-    // The deterministic lifecycle digest is the strongest check: every
-    // non-wall-clock bit of module state must match.
-    EXPECT_EQ(first.state_crc, other->state_crc);
-    // Accuracy-derived counters are exactly reproducible; latency
-    // fields (e.g. latency_prediction_mae_ms) are deliberately not
-    // compared.
-    EXPECT_EQ(first.queries, other->queries);
-    EXPECT_EQ(first.incremental_queries, other->incremental_queries);
-    EXPECT_EQ(first.switches, other->switches);
-    EXPECT_EQ(first.drift_detections, other->drift_detections);
-    EXPECT_EQ(first.audit_entries, other->audit_entries);
-    EXPECT_EQ(first.mean_accuracy, other->mean_accuracy);
-    EXPECT_EQ(first.tau_hit_rate, other->tau_hit_rate);
-    EXPECT_EQ(first.cumulative_regret, other->cumulative_regret);
-    EXPECT_EQ(first.accuracy_trajectory, other->accuracy_trajectory);
-    ASSERT_EQ(first.injections.size(), other->injections.size());
-    for (size_t i = 0; i < first.injections.size(); ++i) {
-      EXPECT_EQ(first.injections[i].detected, other->injections[i].detected);
-      EXPECT_EQ(first.injections[i].detection_delay_queries,
-                other->injections[i].detection_delay_queries);
-      EXPECT_EQ(first.injections[i].recover_slices,
-                other->injections[i].recover_slices);
-    }
+  // The deterministic lifecycle digest is the strongest check: every
+  // non-wall-clock bit of module state must match.
+  EXPECT_EQ(first.state_crc, again.state_crc);
+  // Accuracy-derived counters are exactly reproducible; latency
+  // fields (e.g. latency_prediction_mae_ms) are deliberately not
+  // compared.
+  EXPECT_EQ(first.queries, again.queries);
+  EXPECT_EQ(first.incremental_queries, again.incremental_queries);
+  EXPECT_EQ(first.switches, again.switches);
+  EXPECT_EQ(first.drift_detections, again.drift_detections);
+  EXPECT_EQ(first.audit_entries, again.audit_entries);
+  EXPECT_EQ(first.mean_accuracy, again.mean_accuracy);
+  EXPECT_EQ(first.tau_hit_rate, again.tau_hit_rate);
+  EXPECT_EQ(first.cumulative_regret, again.cumulative_regret);
+  EXPECT_EQ(first.accuracy_trajectory, again.accuracy_trajectory);
+  ASSERT_EQ(first.injections.size(), again.injections.size());
+  for (size_t i = 0; i < first.injections.size(); ++i) {
+    EXPECT_EQ(first.injections[i].detected, again.injections[i].detected);
+    EXPECT_EQ(first.injections[i].detection_delay_queries,
+              again.injections[i].detection_delay_queries);
+    EXPECT_EQ(first.injections[i].recover_slices,
+              again.injections[i].recover_slices);
   }
   // Different seeds must actually change the stream (guards against a
   // seed that is silently ignored).

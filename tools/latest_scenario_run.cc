@@ -13,7 +13,7 @@
 //
 // Usage:
 //   latest_scenario_run --scenario NAME [--objects N] [--duration MS]
-//                       [--seed S] [--threads N] [--postmortem-dir DIR]
+//                       [--seed S] [--postmortem-dir DIR]
 //   latest_scenario_run --list
 
 #include <cstdio>
@@ -33,7 +33,6 @@ struct Options {
   uint64_t objects = 16000;
   int64_t duration_ms = 8000;
   uint64_t seed = 5;
-  uint32_t threads = 0;
   std::string postmortem_dir;
 };
 
@@ -60,9 +59,6 @@ Options ParseArgs(int argc, char** argv) {
       options.duration_ms = std::strtoll(value().c_str(), nullptr, 10);
     } else if (arg == "--seed") {
       options.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--threads") {
-      options.threads =
-          static_cast<uint32_t>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (arg == "--postmortem-dir") {
       options.postmortem_dir = value();
     } else {
@@ -93,7 +89,6 @@ int main(int argc, char** argv) {
   if (!entry.ok()) Die(entry.status().ToString());
 
   latest::workload::ScenarioRunOptions run_options;
-  run_options.threads = options.threads;
   run_options.postmortem_dir = options.postmortem_dir;
 
   auto outcome = latest::workload::RunScenario(*entry, run_options);

@@ -28,7 +28,7 @@
 //   latest_serve [--port P] [--tick-us T] [--max-batch N]
 //                [--max-query-queue N] [--max-ingest-queue N]
 //                [--degraded-divisor N] [--max-connections N]
-//                [--threads N] [--metrics-port P]
+//                [--metrics-port P]
 //                [--checkpoint-dir DIR] [--run-for-ms MS]
 //                [--span-capacity N] [--no-profiler]
 
@@ -63,7 +63,6 @@ struct Options {
   uint32_t max_ingest_queue = 65536;
   uint32_t degraded_divisor = 8;
   uint32_t max_connections = 256;
-  uint32_t threads = 0;
   int metrics_port = -1;
   std::string checkpoint_dir;
   int64_t run_for_ms = 0;  // 0 = until signal.
@@ -104,8 +103,6 @@ Options ParseArgs(int argc, char** argv) {
     } else if (arg == "--max-connections") {
       options.max_connections =
           std::strtoul(value().c_str(), nullptr, 10);
-    } else if (arg == "--threads") {
-      options.threads = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg == "--metrics-port") {
       options.metrics_port = std::atoi(value().c_str());
     } else if (arg == "--checkpoint-dir") {
@@ -142,7 +139,6 @@ LatestConfig MakeConfig(const Options& options) {
   config.maintain_shadow_estimators = true;
   config.alpha = 0.0;
   config.seed = options.seed;
-  config.num_threads = options.threads;
   if (options.metrics_port >= 0) {
     config.enable_introspection = true;
     config.introspection_port =

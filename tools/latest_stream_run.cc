@@ -40,7 +40,7 @@
 //
 // Usage:
 //   latest_stream_run [--scenario NAME] [--objects N] [--duration MS]
-//                     [--seed S] [--threads N] [--checkpoint-dir DIR]
+//                     [--seed S] [--checkpoint-dir DIR]
 //                     [--checkpoint-every N] [--kill-after N] [--resume]
 //                     [--metrics-port P] [--trace-out FILE]
 //                     [--span-sample N] [--pace-us D]
@@ -77,7 +77,6 @@ struct Options {
   uint64_t objects = 8000;
   int64_t duration_ms = 4000;
   uint64_t seed = 5;
-  uint32_t threads = 0;
   std::string checkpoint_dir;
   uint64_t checkpoint_every = 1000;
   uint64_t kill_after = 0;  // 0 = run to completion.
@@ -129,7 +128,6 @@ LatestConfig MakeConfig(const Options& options,
   config.maintain_shadow_estimators = true;
   config.alpha = 0.0;
   config.seed = options.seed;
-  config.num_threads = options.threads;
   if (options.metrics_port >= 0) {
     config.enable_introspection = true;
     config.introspection_port = static_cast<uint16_t>(options.metrics_port);
@@ -179,9 +177,6 @@ Options ParseArgs(int argc, char** argv) {
       options.duration_ms = std::strtoll(value().c_str(), nullptr, 10);
     } else if (arg == "--seed") {
       options.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--threads") {
-      options.threads =
-          static_cast<uint32_t>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (arg == "--checkpoint-dir") {
       options.checkpoint_dir = value();
     } else if (arg == "--checkpoint-every") {
