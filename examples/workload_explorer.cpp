@@ -8,8 +8,7 @@
 //   alpha   : 0..1                               (default 0.5)
 //   queries : query volume                       (default 3000)
 //
-// After the run it prints the module's introspection snapshot, the
-// retained lifecycle event log, the sampled query traces, and the full
+// After the run it prints the retained lifecycle event log and the full
 // Prometheus-text metrics exposition (pipe through `grep latest_` for a
 // scrape-shaped view).
 
@@ -19,9 +18,7 @@
 #include <string>
 
 #include "core/latest_module.h"
-#include "core/module_stats.h"
 #include "obs/event_log.h"
-#include "obs/query_trace.h"
 #include "workload/dataset.h"
 #include "workload/query_workload.h"
 #include "workload/stream_driver.h"
@@ -149,20 +146,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(module.model().num_leaves()),
               module.model().depth());
 
-  std::printf("\n--- module stats ---\n%s",
-              core::FormatStats(module.GetStats()).c_str());
-
   std::printf("\n--- lifecycle event log (%zu retained) ---\n%s",
               module.telemetry().events().size(),
               obs::FormatEventLog(module.telemetry().events()).c_str());
-
-  const auto traces = module.telemetry().traces().Snapshot();
-  std::printf("\n--- sampled query traces (every %uth query, %zu retained) "
-              "---\n",
-              module.telemetry().traces().sample_every(), traces.size());
-  for (const auto& trace : traces) {
-    std::printf("%s\n", obs::FormatTrace(trace).c_str());
-  }
 
   std::printf("\n--- prometheus exposition ---\n%s",
               module.telemetry().registry().PrometheusText().c_str());

@@ -1,6 +1,6 @@
 #include "core/estimation_service.h"
 
-#include "util/stopwatch.h"
+#include "obs/span.h"
 
 namespace latest::core {
 
@@ -62,22 +62,23 @@ util::Result<QueryOutcome> EstimationService::EstimateCount(
     const std::optional<geo::Rect>& range,
     const std::vector<std::string>& keywords, stream::Timestamp timestamp) {
   requests_counter_->Increment();
-  const util::Stopwatch tokenize_watch;
   stream::Query q;
   q.range = range;
   q.timestamp = timestamp;
-  for (const std::string& keyword : keywords) {
-    stream::KeywordId id;
-    // Unknown keywords have never appeared in the window: they cannot
-    // match anything and are dropped from the predicate.
-    if (dictionary_.Lookup(keyword, &id)) {
-      q.keywords.push_back(id);
-    } else {
-      dropped_keywords_counter_->Increment();
+  {
+    LATEST_SPAN("tokenize");
+    for (const std::string& keyword : keywords) {
+      stream::KeywordId id;
+      // Unknown keywords have never appeared in the window: they cannot
+      // match anything and are dropped from the predicate.
+      if (dictionary_.Lookup(keyword, &id)) {
+        q.keywords.push_back(id);
+      } else {
+        dropped_keywords_counter_->Increment();
+      }
     }
+    stream::CanonicalizeKeywords(&q.keywords);
   }
-  stream::CanonicalizeKeywords(&q.keywords);
-  const double tokenize_ms = tokenize_watch.ElapsedMillis();
 
   if (!q.HasRange() && !q.HasKeywords()) {
     if (!keywords.empty()) {
@@ -96,7 +97,7 @@ util::Result<QueryOutcome> EstimationService::EstimateCount(
     rejected_counter_->Increment();
     return util::Status::InvalidArgument("spatial range has no area");
   }
-  return module_->OnQuery(q, tokenize_ms);
+  return module_->OnQuery(q);
 }
 
 uint64_t EstimationService::KeywordOccurrences(

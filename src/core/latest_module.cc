@@ -90,7 +90,6 @@ util::Result<std::unique_ptr<LatestModule>> LatestModule::Create(
     obs::IntrospectionSources sources;
     sources.registry = &module->telemetry_->registry();
     sources.events = &module->telemetry_->events();
-    sources.traces = &module->telemetry_->traces();
     sources.slo = module->slo_monitor_.get();
     sources.errors = module->error_accountant_.get();
     sources.drift = module->drift_monitor_.get();
@@ -123,7 +122,7 @@ LatestModule::LatestModule(const LatestConfig& config)
       keyword_decay_(
           static_cast<double>(config.window.num_slices - 1) /
           std::max(1u, config.window.num_slices)),
-      telemetry_(std::make_unique<obs::Telemetry>(config.telemetry)) {
+      telemetry_(std::make_unique<obs::Telemetry>()) {
   RegisterMetrics();
   slo_monitor_ = std::make_unique<obs::SloMonitor>(&telemetry_->registry(),
                                                    &telemetry_->events());
@@ -229,6 +228,15 @@ void LatestModule::RegisterMetrics() {
       "latest_kernel_tier",
       "Active SIMD kernel dispatch tier: 0 scalar, 1 sse2, 2 avx2");
   kernel_tier_gauge_->Set(static_cast<double>(simd::ActiveTier()));
+  const auto stage_histogram = [&registry](const char* stage) {
+    return registry.GetHistogram(
+        "latest_stage_latency_ms",
+        "Per-stage wall clock of estimate-path queries (ms)",
+        obs::Histogram::LatencyBucketsMs(), {{"stage", stage}});
+  };
+  ground_truth_stage_histogram_ = stage_histogram("ground_truth");
+  estimate_stage_histogram_ = stage_histogram("estimate");
+  model_stage_histogram_ = stage_histogram("model_update");
   batch_size_histogram_ = registry.GetHistogram(
       "latest_batch_size",
       "Queries per batched ground-truth evaluation pass",
@@ -575,8 +583,9 @@ void LatestModule::SaveStateImpl(util::BinaryWriter* writer,
   writer->WriteBool(monitor_below_prefill_);
   writer->WriteBool(monitor_below_tau_);
 
-  // Lifetime counters: the query ordinal drives trace sampling and the
-  // object count feeds ModuleStats, so both must survive a restart.
+  // Lifetime counters: the query ordinal paces the flight recorder and
+  // query-driven SLO evaluation, and the object count backs
+  // objects_ingested(), so both must survive a restart.
   writer->WriteU64(objects_counter_->value());
   writer->WriteU64(queries_counter_->value());
   writer->WriteU64(switches_counter_->value());
@@ -957,20 +966,18 @@ bool LatestModule::MaybeSwitch(const stream::Query& q, uint64_t query_index) {
   return false;
 }
 
-QueryOutcome LatestModule::OnQuery(const stream::Query& q,
-                                   double tokenize_ms) {
-  return OnQueryImpl(q, tokenize_ms, /*precomputed_actual=*/nullptr,
+QueryOutcome LatestModule::OnQuery(const stream::Query& q) {
+  return OnQueryImpl(q, /*precomputed_actual=*/nullptr,
                      /*precomputed_truth_ms=*/0.0);
 }
 
 void LatestModule::OnQueryBatch(const stream::Query* queries, size_t k,
                                 QueryOutcome* outcomes,
-                                const double* tokenize_ms,
                                 QueryStageBreakdown* stages) {
   if (k == 0) return;
   if (k == 1) {
     // Degenerate tick: identical code path to the unbatched API.
-    outcomes[0] = OnQuery(queries[0], tokenize_ms ? tokenize_ms[0] : 0.0);
+    outcomes[0] = OnQuery(queries[0]);
     if (stages != nullptr) stages[0] = last_stage_breakdown_;
     return;
   }
@@ -980,22 +987,18 @@ void LatestModule::OnQueryBatch(const stream::Query* queries, size_t k,
     LATEST_SPAN("ground_truth");
     system_log_.TrueSelectivityBatch(queries, k, batch_truths_.data());
   }
-  // Trace attribution: the batch pass is amortized evenly across queries.
+  // Stage attribution: the batch pass is amortized evenly across queries.
   const double truth_ms_each =
       truth_watch.ElapsedMillis() / static_cast<double>(k);
   for (size_t i = 0; i < k; ++i) {
-    outcomes[i] =
-        OnQueryImpl(queries[i], tokenize_ms ? tokenize_ms[i] : 0.0,
-                    &batch_truths_[i], truth_ms_each);
+    outcomes[i] = OnQueryImpl(queries[i], &batch_truths_[i], truth_ms_each);
     if (stages != nullptr) stages[i] = last_stage_breakdown_;
   }
 }
 
 QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
-                                       double tokenize_ms,
                                        const uint64_t* precomputed_actual,
                                        double precomputed_truth_ms) {
-  const util::Stopwatch total_watch;
   LATEST_SPAN("query");
   AdvanceClock(q.timestamp);
   if (phase_ == Phase::kWarmup &&
@@ -1004,7 +1007,6 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
   }
 
   const uint64_t ordinal = queries_counter_->value();
-  const bool traced = telemetry_->traces().ShouldSample(ordinal);
   queries_counter_->Increment();
 
   uint64_t actual = 0;
@@ -1043,8 +1045,8 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
       outcome.estimate = m.estimate;
       outcome.accuracy = m.accuracy;
       outcome.latency_ms = m.latency_ms;
-      FinishQuery(q, outcome, traced, ordinal, tokenize_ms, ground_truth_ms,
-                  estimate_ms, /*model_ms=*/0.0, total_watch);
+      FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms,
+                  /*model_ms=*/0.0);
       return outcome;
     }
 
@@ -1108,8 +1110,7 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
       if (++pretrain_seen_ >= config_.pretrain_queries) {
         ConcludePretraining();
       }
-      FinishQuery(q, outcome, traced, ordinal, tokenize_ms, ground_truth_ms,
-                  estimate_ms, model_ms, total_watch);
+      FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms, model_ms);
       return outcome;
     }
 
@@ -1173,23 +1174,22 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
       outcome.switched = MaybeSwitch(q, incremental_queries_);
       outcome.active = active_kind_;
       const double model_ms = model_watch.ElapsedMillis();
-      FinishQuery(q, outcome, traced, ordinal, tokenize_ms, ground_truth_ms,
-                  estimate_ms, model_ms, total_watch);
+      FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms, model_ms);
       return outcome;
     }
   }
   return outcome;
 }
 
-void LatestModule::FinishQuery(const stream::Query& /*q*/,
-                               const QueryOutcome& outcome, bool traced,
-                               uint64_t ordinal, double tokenize_ms,
+void LatestModule::FinishQuery(const QueryOutcome& outcome, uint64_t ordinal,
                                double ground_truth_ms, double estimate_ms,
-                               double model_ms,
-                               const util::Stopwatch& total_watch) {
+                               double model_ms) {
   last_stage_breakdown_.ground_truth_ms = ground_truth_ms;
   last_stage_breakdown_.estimate_ms = estimate_ms;
   last_stage_breakdown_.model_ms = model_ms;
+  ground_truth_stage_histogram_->Observe(ground_truth_ms);
+  estimate_stage_histogram_->Observe(estimate_ms);
+  model_stage_histogram_->Observe(model_ms);
   accuracy_histogram_->Observe(outcome.accuracy);
   monitor_accuracy_gauge_->Set(accuracy_monitor_.Mean());
   window_population_gauge_->Set(
@@ -1247,24 +1247,6 @@ void LatestModule::FinishQuery(const stream::Query& /*q*/,
     flight_recorder_->Tick(static_cast<int64_t>(clock_.now()), ordinal + 1);
   }
 
-  if (traced) {
-    obs::QueryTrace trace;
-    trace.query_ordinal = ordinal;
-    trace.timestamp = static_cast<int64_t>(clock_.now());
-    trace.phase = static_cast<int32_t>(outcome.phase);
-    trace.active_estimator = static_cast<int32_t>(outcome.active);
-    trace.stage_ms[static_cast<uint32_t>(obs::TraceStage::kTokenize)] =
-        tokenize_ms;
-    trace.stage_ms[static_cast<uint32_t>(obs::TraceStage::kGroundTruth)] =
-        ground_truth_ms;
-    trace.stage_ms[static_cast<uint32_t>(obs::TraceStage::kEstimate)] =
-        estimate_ms;
-    trace.stage_ms[static_cast<uint32_t>(obs::TraceStage::kModelUpdate)] =
-        model_ms;
-    trace.total_ms = total_watch.ElapsedMillis() + tokenize_ms;
-    telemetry_->traces().Record(trace);
-  }
-
   // Query-driven SLO evaluation: stamps breach events with stream event
   // time (the server's ticker thread stamps 0).
   if (config_.slo_eval_every_queries > 0 &&
@@ -1277,7 +1259,12 @@ void LatestModule::FinishQuery(const stream::Query& /*q*/,
   const bool degraded_now = slo_monitor_->degraded();
   if (degraded_now && !was_degraded_ && flight_recorder_ != nullptr &&
       !config_.quality.postmortem_dir.empty()) {
-    (void)DumpPostmortem("slo_breach");
+    const util::Result<std::string> written = DumpPostmortem("slo_breach");
+    if (!written.ok()) {
+      obs::Event event = MakeEvent(obs::EventType::kPostmortemFailed);
+      event.note = written.status().message();
+      telemetry_->events().Append(event);
+    }
   }
   was_degraded_ = degraded_now;
 }

@@ -49,11 +49,8 @@
 #include "stream/query.h"
 #include "stream/sliding_window.h"
 #include "util/status.h"
-#include "util/stopwatch.h"
 
 namespace latest::core {
-
-struct ModuleStats;  // core/module_stats.h
 
 /// Stream lifecycle phases (Figure 2).
 enum class Phase {
@@ -145,11 +142,6 @@ struct LatestConfig {
   /// Keep all estimators alive and measured per query (evaluation mode).
   bool maintain_shadow_estimators = false;
 
-  /// Telemetry sizing: lifecycle event-log capacity and query-trace
-  /// sampling (see obs/telemetry.h). Always on; costs a few relaxed
-  /// atomics per query.
-  obs::TelemetryConfig telemetry;
-
   /// Live introspection plane (obs/statusz.h). When enabled, Create()
   /// starts an embedded HTTP server on 127.0.0.1:`introspection_port`
   /// serving /metrics, /vars, /healthz, /statusz, and /tracez; a port of
@@ -219,10 +211,11 @@ struct SwitchEvent {
   estimators::EstimatorKind to = estimators::EstimatorKind::kRsh;
 };
 
-/// Per-query wall-time attribution of the module's internal stages,
-/// filled by OnQueryBatch for the serving plane's request waterfalls.
-/// Strictly observational: three double stores per query, no influence
-/// on estimates or phase bookkeeping.
+/// Per-query wall-time attribution of the module's internal stages: the
+/// module's only stage timer. Every query observes it into the
+/// `latest_stage_latency_ms{stage=...}` histograms, and OnQueryBatch
+/// hands it to the serving plane's request waterfalls. Strictly
+/// observational: no influence on estimates or phase bookkeeping.
 struct QueryStageBreakdown {
   double ground_truth_ms = 0.0;
   double estimate_ms = 0.0;
@@ -261,9 +254,7 @@ class LatestModule {
   void OnObject(const stream::GeoTextObject& obj);
 
   /// Answers one estimation query and performs all phase bookkeeping.
-  /// `tokenize_ms` lets the service layer attribute string tokenization /
-  /// interning time to the query's trace (0 for pre-interned queries).
-  QueryOutcome OnQuery(const stream::Query& q, double tokenize_ms = 0.0);
+  QueryOutcome OnQuery(const stream::Query& q);
 
   /// Answers `k` queries admitted as one batch (the serving plane's tick).
   /// Ground truth for the whole batch is computed first through
@@ -274,12 +265,10 @@ class LatestModule {
   /// filter by each query's own window cutoff, and the module-wide
   /// non-decreasing-timestamp contract means interleaved eviction can
   /// only remove objects already outside every later cutoff.
-  /// `tokenize_ms`, when non-null, carries one entry per query.
   /// `stages`, when non-null, receives one QueryStageBreakdown per query
   /// (ground-truth time amortized over the batch pass).
   void OnQueryBatch(const stream::Query* queries, size_t k,
                     QueryOutcome* outcomes,
-                    const double* tokenize_ms = nullptr,
                     QueryStageBreakdown* stages = nullptr);
 
   /// Currently employed estimator kind.
@@ -320,7 +309,7 @@ class LatestModule {
   /// Automatic model retrainings performed so far (telemetry-backed).
   uint64_t model_retrains() const;
 
-  /// Metrics registry, lifecycle event log, and sampled query traces.
+  /// Metrics registry and lifecycle event log.
   obs::Telemetry& telemetry() { return *telemetry_; }
   const obs::Telemetry& telemetry() const { return *telemetry_; }
 
@@ -360,9 +349,6 @@ class LatestModule {
   /// when the quality plane is disabled or the directory is unusable.
   util::Result<std::string> DumpPostmortem(const std::string& reason,
                                            std::string dir = "");
-
-  /// Point-in-time introspection snapshot (see core/module_stats.h).
-  ModuleStats GetStats() const;
 
   /// Persists the COMPLETE lifecycle — phase machine, clock, window
   /// contents, every live estimator, model, scoreboard, monitors, and
@@ -441,17 +427,16 @@ class LatestModule {
 
   /// Shared body of OnQuery / OnQueryBatch. A non-null
   /// `precomputed_actual` skips the per-query ground-truth pass and
-  /// charges `precomputed_truth_ms` to the trace instead.
-  QueryOutcome OnQueryImpl(const stream::Query& q, double tokenize_ms,
+  /// charges `precomputed_truth_ms` to the ground-truth stage instead.
+  QueryOutcome OnQueryImpl(const stream::Query& q,
                            const uint64_t* precomputed_actual,
                            double precomputed_truth_ms);
 
-  /// Per-query telemetry tail: counters, gauges, histograms, and the
-  /// sampled stage trace.
-  void FinishQuery(const stream::Query& q, const QueryOutcome& outcome,
-                   bool traced, uint64_t ordinal, double tokenize_ms,
+  /// Per-query telemetry tail: counters, gauges, and histograms,
+  /// including the three stage histograms fed from the breakdown.
+  void FinishQuery(const QueryOutcome& outcome, uint64_t ordinal,
                    double ground_truth_ms, double estimate_ms,
-                   double model_ms, const util::Stopwatch& total_watch);
+                   double model_ms);
 
   /// Stage attribution of the most recent query (written by FinishQuery,
   /// read back by OnQueryBatch for its `stages` out-array). Plain member:
@@ -505,7 +490,7 @@ class LatestModule {
   uint64_t queries_since_retrain_ = 0;
 
   /// Telemetry: the registry is the source of truth for lifetime
-  /// counters; ModuleStats is a view over it (core/module_stats.h).
+  /// counters (objects_ingested(), queries_answered(), ...).
   std::unique_ptr<obs::Telemetry> telemetry_;
   std::unique_ptr<obs::SloMonitor> slo_monitor_;
   std::unique_ptr<obs::IntrospectionServer> introspection_;
@@ -563,6 +548,9 @@ class LatestModule {
   obs::Histogram* batch_size_histogram_ = nullptr;
   std::array<obs::Histogram*, estimators::kNumEstimatorKinds>
       estimator_latency_histograms_{};
+  obs::Histogram* ground_truth_stage_histogram_ = nullptr;
+  obs::Histogram* estimate_stage_histogram_ = nullptr;
+  obs::Histogram* model_stage_histogram_ = nullptr;
 
   /// Threshold-crossing edge detection for the event log.
   bool monitor_below_prefill_ = false;

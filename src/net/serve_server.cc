@@ -616,8 +616,7 @@ void ServeServer::ProcessBatch(
     {
       obs::Span module_run("module_run", run_link);
       module_->OnQueryBatch(queries.data(), queries.size(),
-                            outcomes.data(), /*tokenize_ms=*/nullptr,
-                            stage_breakdowns.data());
+                            outcomes.data(), stage_breakdowns.data());
     }
     const int64_t run_end_micros = NowMicros();
     for (size_t i = 0; i < queries.size(); ++i) {

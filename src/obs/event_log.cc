@@ -36,6 +36,8 @@ const char* EventTypeName(EventType type) {
       return "drift_detected";
     case EventType::kPostmortemDumped:
       return "postmortem_dumped";
+    case EventType::kPostmortemFailed:
+      return "postmortem_failed";
   }
   return "unknown";
 }
@@ -57,6 +59,7 @@ EventSeverity SeverityOf(EventType type) {
     case EventType::kModelReset:
     case EventType::kSloBreached:
     case EventType::kPostmortemDumped:
+    case EventType::kPostmortemFailed:
       return EventSeverity::kError;
   }
   return EventSeverity::kInfo;
@@ -268,6 +271,13 @@ std::string FormatEvent(const Event& event) {
     case EventType::kPostmortemDumped:
       std::snprintf(line, sizeof(line),
                     "[t=%lld q=%llu] postmortem_dumped reason=%s",
+                    static_cast<long long>(event.timestamp),
+                    static_cast<unsigned long long>(event.query_count),
+                    event.note.c_str());
+      break;
+    case EventType::kPostmortemFailed:
+      std::snprintf(line, sizeof(line),
+                    "[t=%lld q=%llu] postmortem_failed error=%s",
                     static_cast<long long>(event.timestamp),
                     static_cast<unsigned long long>(event.query_count),
                     event.note.c_str());

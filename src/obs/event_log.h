@@ -53,6 +53,8 @@ enum class EventType : uint32_t {
   /// The flight recorder wrote a postmortem bundle; `note` holds the
   /// trigger reason ("slo_breach", "signal", "shutdown", ...).
   kPostmortemDumped = 12,
+  /// An automatic postmortem dump failed; `note` holds the error.
+  kPostmortemFailed = 13,
 };
 
 /// Stable display name ("phase_changed", "prefill_started", ...).

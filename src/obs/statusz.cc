@@ -17,7 +17,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
-#include "obs/query_trace.h"
 #include "obs/request_trace.h"
 #include "obs/slo_monitor.h"
 #include "obs/span.h"
@@ -363,13 +362,12 @@ HttpResponse IntrospectionServer::HandleStatusz(
 
   // Stage latency percentiles.
   bool stage_header = false;
-  for (uint32_t s = 0; s < kNumTraceStages; ++s) {
-    const char* stage = TraceStageName(static_cast<TraceStage>(s));
+  for (const char* stage : {"ground_truth", "estimate", "model_update"}) {
     const Histogram* histogram = registry->FindHistogram(
         "latest_stage_latency_ms", {{"stage", stage}});
     if (histogram == nullptr || histogram->count() == 0) continue;
     if (!stage_header) {
-      page += "\n-- stage latency (ms, sampled) --\n";
+      page += "\n-- stage latency (ms) --\n";
       stage_header = true;
     }
     AppendF(&page, "  %-12s p50=%.4f p95=%.4f p99=%.4f n=%" PRIu64 "\n",
@@ -499,21 +497,6 @@ HttpResponse IntrospectionServer::HandleTracez(
             spans->recorded(), spans->dropped());
     body += "\nGET /tracez?dump for Chrome trace-event JSON "
             "(load in Perfetto / chrome://tracing)\n";
-  }
-  if (sources_.traces != nullptr) {
-    AppendF(&body,
-            "\nquery traces:   sample_every=%u capacity=%zu\n"
-            "recorded:       %" PRIu64 "\n"
-            "dropped:        %" PRIu64 "\n",
-            sources_.traces->sample_every(), sources_.traces->capacity(),
-            sources_.traces->recorded(), sources_.traces->dropped());
-    std::vector<QueryTrace> recent = sources_.traces->Snapshot();
-    constexpr size_t kMaxShown = 10;
-    const size_t start =
-        recent.size() > kMaxShown ? recent.size() - kMaxShown : 0;
-    for (size_t i = start; i < recent.size(); ++i) {
-      body += "  " + FormatTrace(recent[i]) + "\n";
-    }
   }
   response.body = std::move(body);
   return response;

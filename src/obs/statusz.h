@@ -22,7 +22,7 @@
 //              flamegraph tooling
 //
 // Everything is rendered from thread-safe sources (the metrics registry,
-// event log, trace/span collectors, SLO monitor), never from live module
+// event log, span collector, SLO monitor), never from live module
 // state, so scrapes race with the ingest thread without synchronization
 // beyond what those sources already provide. The server optionally runs a
 // ticker thread that re-evaluates the SLO monitor at a fixed cadence, so
@@ -48,14 +48,12 @@ class FlightRecorder;
 class MetricsRegistry;
 class SloMonitor;
 class SwitchAuditTrail;
-class TraceCollector;
 
 /// Borrowed data sources; all must outlive the server. Only `registry`
 /// is required — null members simply leave the matching sections out.
 struct IntrospectionSources {
   MetricsRegistry* registry = nullptr;
   EventLog* events = nullptr;
-  TraceCollector* traces = nullptr;
   SloMonitor* slo = nullptr;
   /// Estimation-quality plane (obs/error_accounting.h & friends).
   ErrorAccountant* errors = nullptr;

@@ -2,9 +2,7 @@
 
 namespace latest::obs {
 
-Telemetry::Telemetry(const TelemetryConfig& config)
-    : events_(config.event_log_capacity),
-      traces_(config.trace_sample_every, config.trace_capacity, &registry_) {
+Telemetry::Telemetry() : events_(kEventLogCapacity) {
   events_.AttachMetrics(&registry_);
 }
 

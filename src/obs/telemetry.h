@@ -1,36 +1,24 @@
-// Telemetry bundle: one metrics registry, one lifecycle event log, and
-// one query-trace collector, owned together so instrumented components
-// share a single exposition surface.
+// Telemetry bundle: one metrics registry and one lifecycle event log,
+// owned together so instrumented components share a single exposition
+// surface.
 
 #ifndef LATEST_OBS_TELEMETRY_H_
 #define LATEST_OBS_TELEMETRY_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
-#include "obs/query_trace.h"
 
 namespace latest::obs {
-
-/// Sizing knobs for a telemetry bundle. The defaults cost a few tens of
-/// kilobytes — cheap enough to leave on everywhere.
-struct TelemetryConfig {
-  /// Lifecycle events retained (ring; oldest overwritten).
-  size_t event_log_capacity = 1024;
-
-  /// Trace every Nth query through the stage timer; 0 disables tracing.
-  uint32_t trace_sample_every = 64;
-
-  /// Sampled traces retained (ring; oldest overwritten).
-  size_t trace_capacity = 256;
-};
 
 /// Shared observability state of one instrumented module.
 class Telemetry {
  public:
-  explicit Telemetry(const TelemetryConfig& config = TelemetryConfig());
+  /// Lifecycle events retained (ring; oldest overwritten).
+  static constexpr size_t kEventLogCapacity = 1024;
+
+  Telemetry();
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
@@ -40,13 +28,9 @@ class Telemetry {
   EventLog& events() { return events_; }
   const EventLog& events() const { return events_; }
 
-  TraceCollector& traces() { return traces_; }
-  const TraceCollector& traces() const { return traces_; }
-
  private:
   MetricsRegistry registry_;
   EventLog events_;
-  TraceCollector traces_;
 };
 
 }  // namespace latest::obs

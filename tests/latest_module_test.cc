@@ -228,8 +228,11 @@ TEST(LatestModuleTest, SwitchingTriggersOnSustainedBadAccuracy) {
 
 TEST(LatestModuleTest, NoSwitchOnStableGoodAccuracy) {
   // Large reservoir answers everything nearly exactly: no switch needed.
+  // Accuracy-only reward: at alpha > 0 wall-clock latency on a loaded
+  // host can legitimately fire the regret trigger.
   auto config = SmallConfig();
   config.estimator.reservoir_capacity = 100000;
+  config.alpha = 0.0;
   auto module_result = LatestModule::Create(config);
   ASSERT_TRUE(module_result.ok());
   LatestModule& module = **module_result;

@@ -1,8 +1,7 @@
 // Tests for the telemetry subsystem: metrics registry semantics,
 // histogram percentiles against a sorted reference, exposition formats,
-// event-log ring wraparound, trace sampling, the end-to-end lifecycle
-// event sequence of a forced estimator switch, and the module stats
-// snapshot.
+// event-log ring wraparound, the end-to-end lifecycle event sequence of
+// a forced estimator switch, and the per-query stage histograms.
 
 #include <algorithm>
 #include <string>
@@ -11,14 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "core/latest_module.h"
-#include "core/module_stats.h"
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
-#include "obs/query_trace.h"
 #include "obs/telemetry.h"
 #include "simd/kernels.h"
 #include "tests/test_stream.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace latest::obs {
 namespace {
@@ -214,52 +212,6 @@ TEST(EventLogTest, FormatEventMentionsTypeAndEstimators) {
 }
 
 // --------------------------------------------------------------------
-// TraceCollector
-
-TEST(TraceCollectorTest, SamplesEveryNth) {
-  TraceCollector collector(/*sample_every=*/4, /*capacity=*/8,
-                           /*registry=*/nullptr);
-  EXPECT_TRUE(collector.ShouldSample(0));
-  EXPECT_FALSE(collector.ShouldSample(1));
-  EXPECT_FALSE(collector.ShouldSample(3));
-  EXPECT_TRUE(collector.ShouldSample(4));
-  EXPECT_TRUE(collector.ShouldSample(400));
-}
-
-TEST(TraceCollectorTest, ZeroDisablesSampling) {
-  TraceCollector collector(0, 8, nullptr);
-  EXPECT_FALSE(collector.ShouldSample(0));
-  EXPECT_FALSE(collector.ShouldSample(64));
-}
-
-TEST(TraceCollectorTest, RingBoundsRetainedTraces) {
-  TraceCollector collector(1, 4, nullptr);
-  for (int i = 0; i < 9; ++i) {
-    QueryTrace trace;
-    trace.query_ordinal = static_cast<uint64_t>(i);
-    collector.Record(trace);
-  }
-  EXPECT_EQ(collector.recorded(), 9u);
-  const std::vector<QueryTrace> traces = collector.Snapshot();
-  ASSERT_EQ(traces.size(), 4u);
-  EXPECT_EQ(traces.front().query_ordinal, 5u);
-  EXPECT_EQ(traces.back().query_ordinal, 8u);
-}
-
-TEST(TraceCollectorTest, FeedsStageHistograms) {
-  MetricsRegistry registry;
-  TraceCollector collector(1, 4, &registry);
-  QueryTrace trace;
-  trace.stage_ms[static_cast<uint32_t>(TraceStage::kEstimate)] = 0.5;
-  trace.total_ms = 1.0;
-  collector.Record(trace);
-  const std::string text = registry.PrometheusText();
-  EXPECT_NE(text.find("latest_stage_latency_ms"), std::string::npos);
-  EXPECT_NE(text.find("stage=\"estimate\""), std::string::npos);
-  EXPECT_NE(text.find("latest_query_total_latency_ms"), std::string::npos);
-}
-
-// --------------------------------------------------------------------
 // End-to-end lifecycle events through the module
 
 core::LatestConfig ForcedSwitchConfig() {
@@ -326,8 +278,10 @@ TEST(LifecycleEventsTest, ForcedSwitchEmitsPrefillThenSwitch) {
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("latest_switches_total"), std::string::npos);
   EXPECT_NE(text.find("latest_phase 2"), std::string::npos);
-  EXPECT_EQ(module.GetStats().switches, module.switch_log().size());
-  EXPECT_EQ(module.GetStats().events_logged, events.total_appended());
+  EXPECT_EQ(registry.FindCounter("latest_switches_total")->value(),
+            module.switch_log().size());
+  EXPECT_EQ(registry.FindCounter("latest_events_appended_total")->value(),
+            events.total_appended());
 }
 
 TEST(LifecycleEventsTest, KernelTierAndBatchSizeMetricsAreExported) {
@@ -354,91 +308,74 @@ TEST(LifecycleEventsTest, KernelTierAndBatchSizeMetricsAreExported) {
   EXPECT_NE(text.find("latest_batch_size"), std::string::npos);
 }
 
-TEST(LifecycleEventsTest, TracesAreSampledDuringTheRun) {
-  auto config = ForcedSwitchConfig();
-  config.telemetry.trace_sample_every = 8;
-  auto module_result = core::LatestModule::Create(config);
-  ASSERT_TRUE(module_result.ok());
-  core::LatestModule& module = **module_result;
-  util::Rng rng(3);
-  const auto objects =
-      testing_support::MakeClusteredObjects(4000, 9, 4000);
-  for (size_t i = 0; i < objects.size(); ++i) {
-    module.OnObject(objects[i]);
-    if (objects[i].timestamp >= 1000 && i % 20 == 0) {
-      stream::Query q = testing_support::MakeKeywordQuery(
-          {static_cast<stream::KeywordId>(rng.NextBounded(50))});
-      q.timestamp = objects[i].timestamp;
-      module.OnQuery(q);
-    }
-  }
-  const uint64_t queries = module.queries_answered();
-  ASSERT_GT(queries, 8u);
-  const TraceCollector& traces = module.telemetry().traces();
-  EXPECT_EQ(traces.recorded(), (queries + 7) / 8);
-  const auto snapshot = traces.Snapshot();
-  ASSERT_FALSE(snapshot.empty());
-  for (const QueryTrace& trace : snapshot) {
-    EXPECT_EQ(trace.query_ordinal % 8, 0u);
-    EXPECT_GE(trace.total_ms, 0.0);
-  }
-}
-
-}  // namespace
-}  // namespace latest::obs
-
-// --------------------------------------------------------------------
-// ModuleStats snapshot
-
-namespace latest::core {
-namespace {
-
-LatestConfig StatsConfig() {
-  LatestConfig config;
+// Every query, scalar or batched, feeds each stage histogram exactly
+// once from its QueryStageBreakdown.
+TEST(StageLatencyTest, EveryQueryFeedsEachStageOnce) {
+  core::LatestConfig config;
   config.bounds = testing_support::kTestBounds;
   config.window.window_length_ms = 1000;
   config.window.num_slices = 10;
   config.pretrain_queries = 10;
   config.monitor_window = 8;
-  return config;
-}
+  auto module_result = core::LatestModule::Create(config);
+  ASSERT_TRUE(module_result.ok());
+  core::LatestModule& module = **module_result;
 
-TEST(ModuleStatsTest, SnapshotReflectsModule) {
-  auto module = std::move(LatestModule::Create(StatsConfig())).value();
+  constexpr size_t kBatch = 4;
+  std::vector<stream::Query> batch(kBatch);
+  std::vector<core::QueryOutcome> outcomes(kBatch);
+  std::vector<core::QueryStageBreakdown> stages(kBatch);
+  size_t batch_calls = 0;
   const auto objects = testing_support::MakeClusteredObjects(3000, 3, 2000);
   for (const auto& obj : objects) {
-    module->OnObject(obj);
-    if (obj.timestamp >= 1000 && obj.oid % 25 == 0) {
+    module.OnObject(obj);
+    if (obj.timestamp < 1000 || obj.oid % 25 != 0) continue;
+    if (obj.oid % 50 == 0) {
       stream::Query q = testing_support::MakeSpatialQuery({20, 20, 40, 40});
       q.timestamp = obj.timestamp;
-      module->OnQuery(q);
+      module.OnQuery(q);
+      continue;
     }
+    for (size_t i = 0; i < kBatch; ++i) {
+      const double lo = 10.0 * static_cast<double>(i + 1);
+      batch[i] = testing_support::MakeSpatialQuery({lo, lo, lo + 30, lo + 30});
+      batch[i].timestamp = obj.timestamp;
+    }
+    const util::Stopwatch wall;
+    module.OnQueryBatch(batch.data(), kBatch, outcomes.data(), stages.data());
+    const double wall_ms = wall.ElapsedMillis();
+    ++batch_calls;
+    // Stage times never exceed the total they belong to.
+    double stage_sum_ms = 0.0;
+    for (const core::QueryStageBreakdown& stage : stages) {
+      stage_sum_ms +=
+          stage.ground_truth_ms + stage.estimate_ms + stage.model_ms;
+    }
+    EXPECT_LE(stage_sum_ms, wall_ms);
   }
-  const ModuleStats stats = module->GetStats();
-  EXPECT_EQ(stats.objects_ingested, 3000u);
-  EXPECT_EQ(stats.queries_answered, module->queries_answered());
-  EXPECT_EQ(stats.window_population, module->window_population());
-  EXPECT_EQ(stats.phase, module->phase());
-  EXPECT_EQ(stats.active, module->active_kind());
-  EXPECT_EQ(stats.model_records, module->model().num_trained());
-  // Paper portfolio enabled, CMS extension disabled by default.
-  EXPECT_TRUE(stats.enabled[0]);
-  EXPECT_FALSE(
-      stats.enabled[static_cast<uint32_t>(estimators::EstimatorKind::kCmSketch)]);
-  // Spatial cells of enabled estimators carry measurements.
-  EXPECT_GT(stats.scoreboard[0][static_cast<uint32_t>(stats.active)].accuracy,
+  ASSERT_GT(batch_calls, 0u);
+  ASSERT_GT(module.queries_answered(), batch_calls * kBatch);
+
+  const MetricsRegistry& registry = module.telemetry().registry();
+  for (const char* stage : {"ground_truth", "estimate", "model_update"}) {
+    const Histogram* histogram =
+        registry.FindHistogram("latest_stage_latency_ms", {{"stage", stage}});
+    ASSERT_NE(histogram, nullptr) << stage;
+    EXPECT_EQ(histogram->count(), module.queries_answered()) << stage;
+  }
+  const std::string text = registry.PrometheusText();
+  EXPECT_EQ(text.find("stage=\"tokenize\""), std::string::npos);
+  EXPECT_EQ(text.find("_traces_"), std::string::npos);  // No trace counters.
+
+  // Lifetime accessors: every object counted, the CMS extension disabled
+  // by default, and the active estimator's spatial cell measured.
+  EXPECT_EQ(module.objects_ingested(), 3000u);
+  EXPECT_TRUE(module.IsEnabled(estimators::EstimatorKind::kH4096));
+  EXPECT_FALSE(module.IsEnabled(estimators::EstimatorKind::kCmSketch));
+  EXPECT_GT(module.scoreboard().AccuracyOf(stream::QueryType::kSpatial,
+                                           module.active_kind()),
             0.0);
 }
 
-TEST(ModuleStatsTest, FormatContainsKeyFields) {
-  auto module = std::move(LatestModule::Create(StatsConfig())).value();
-  const auto text = FormatStats(module->GetStats());
-  EXPECT_NE(text.find("phase=warmup"), std::string::npos);
-  EXPECT_NE(text.find("active=RSH"), std::string::npos);
-  EXPECT_NE(text.find("scoreboard"), std::string::npos);
-  EXPECT_NE(text.find("H4096"), std::string::npos);
-  EXPECT_EQ(text.find("CMS"), std::string::npos);  // Disabled by default.
-}
-
 }  // namespace
-}  // namespace latest::core
+}  // namespace latest::obs

@@ -19,6 +19,7 @@
 #include "obs/event_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
+#include "obs/slo_monitor.h"
 #include "obs/statusz.h"
 #include "persist/file_io.h"
 #include "stream/object.h"
@@ -530,6 +531,51 @@ TEST(QualityObsConfigTest, DisabledQualityObsMeansNullComponents) {
   EXPECT_EQ(module->flight_recorder(), nullptr);
   const util::Result<std::string> dump = module->DumpPostmortem("manual");
   EXPECT_FALSE(dump.ok());
+}
+
+TEST(QualityObsConfigTest, FailedAutomaticPostmortemIsLogged) {
+  // A regular file blocks the postmortem directory, so the dump on the
+  // healthy -> degraded edge cannot be written.
+  const std::string blocker = ::testing::TempDir() + "/postmortem_blocker";
+  ASSERT_TRUE(persist::AtomicWriteFile(blocker, "not a directory").ok());
+  core::LatestConfig config;
+  config.bounds = testing_support::kTestBounds;
+  config.window.window_length_ms = 1000;
+  config.window.num_slices = 10;
+  config.quality.postmortem_dir = blocker + "/bundles";
+  config.slo_eval_every_queries = 1;
+  obs::SloRule always_breached;
+  always_breached.name = "always_breached";
+  always_breached.metric = "latest_queries_total";
+  always_breached.source = obs::SloRule::Source::kCounter;
+  always_breached.op = obs::SloRule::Op::kAbove;
+  always_breached.threshold = 0.0;
+  config.slo_rules = {always_breached};
+  auto created = core::LatestModule::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  core::LatestModule* module = created.value().get();
+
+  const auto objects = testing_support::MakeClusteredObjects(2000, 3, 1500);
+  for (const auto& obj : objects) {
+    module->OnObject(obj);
+    if (obj.oid % 50 != 0) continue;
+    stream::Query q = testing_support::MakeSpatialQuery({20, 20, 40, 40});
+    q.timestamp = obj.timestamp;
+    module->OnQuery(q);
+  }
+  ASSERT_GT(module->queries_answered(), 1u);
+  EXPECT_TRUE(module->slo_monitor().degraded());
+
+  const obs::EventLog& events = module->telemetry().events();
+  const std::vector<obs::Event> failed =
+      events.SnapshotOfType(obs::EventType::kPostmortemFailed);
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_FALSE(failed.front().note.empty());
+  EXPECT_EQ(obs::SeverityOf(obs::EventType::kPostmortemFailed),
+            obs::EventSeverity::kError);
+  EXPECT_NE(obs::FormatEvent(failed.front()).find("postmortem_failed"),
+            std::string::npos);
+  EXPECT_TRUE(events.SnapshotOfType(obs::EventType::kPostmortemDumped).empty());
 }
 
 }  // namespace
