@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "obs/span.h"
-#include "simd/kernels.h"
 #include "util/stopwatch.h"
 
 namespace latest::core {
@@ -86,23 +85,7 @@ util::Result<std::unique_ptr<LatestModule>> LatestModule::Create(
   effective.estimator.window = config.window;
   LATEST_RETURN_IF_ERROR(effective.estimator.Validate());
   auto module = std::unique_ptr<LatestModule>(new LatestModule(effective));
-  if (effective.enable_introspection) {
-    obs::IntrospectionSources sources;
-    sources.registry = &module->telemetry_->registry();
-    sources.events = &module->telemetry_->events();
-    sources.slo = module->slo_monitor_.get();
-    sources.errors = module->error_accountant_.get();
-    sources.drift = module->drift_monitor_.get();
-    sources.audit = module->audit_trail_.get();
-    sources.flight = module->flight_recorder_.get();
-    obs::IntrospectionInfo info;
-    info.tau = effective.tau;
-    info.prefill_threshold = effective.PrefillThreshold();
-    module->introspection_ = std::make_unique<obs::IntrospectionServer>(
-        sources, std::move(info));
-    LATEST_RETURN_IF_ERROR(module->introspection_->Start(
-        effective.introspection_port, effective.slo_tick_ms));
-  }
+  LATEST_RETURN_IF_ERROR(module->observer_->StartIntrospection());
   return module;
 }
 
@@ -124,36 +107,10 @@ LatestModule::LatestModule(const LatestConfig& config)
           std::max(1u, config.window.num_slices)),
       telemetry_(std::make_unique<obs::Telemetry>()) {
   RegisterMetrics();
-  slo_monitor_ = std::make_unique<obs::SloMonitor>(&telemetry_->registry(),
-                                                   &telemetry_->events());
-  {
-    std::vector<obs::SloRule> rules = config_.slo_rules;
-    if (rules.empty() && config_.enable_introspection) {
-      rules = obs::DefaultLatestSloRules(config_.tau);
-    }
-    for (const obs::SloRule& rule : rules) slo_monitor_->AddRule(rule);
-  }
-  if (config_.quality.enabled) {
-    error_accountant_ = std::make_unique<obs::ErrorAccountant>(config_.tau);
-    error_accountant_->AttachMetrics(&telemetry_->registry());
-    drift_monitor_ = std::make_unique<obs::DriftMonitor>(config_.quality.drift);
-    drift_monitor_->AttachMetrics(&telemetry_->registry());
-    drift_monitor_->AttachEventLog(&telemetry_->events());
-    drift_monitor_->AddSeries("ingest_vocab_churn");
-    drift_monitor_->AddSeries("ingest_centroid");
-    audit_trail_ = std::make_unique<obs::SwitchAuditTrail>(
-        config_.quality.audit_capacity,
-        config_.quality.audit_resolution_window);
-    audit_trail_->AttachMetrics(&telemetry_->registry());
-    obs::FlightRecorder::Options flight_options;
-    flight_options.capacity = config_.quality.flight_frames;
-    flight_recorder_ =
-        std::make_unique<obs::FlightRecorder>(std::move(flight_options));
-    flight_recorder_->AttachMetrics(&telemetry_->registry());
-    flight_recorder_->AttachEventLog(&telemetry_->events());
-    flight_recorder_->AttachAuditTrail(audit_trail_.get());
-    flight_recorder_->AttachSpans(obs::GetSpanCollector());
-  }
+  observer_ = std::make_unique<ModuleObserver>(*this, telemetry_.get());
+  system_log_.set_batch_observer([observer = observer_.get()](size_t batch) {
+    observer->OnTruthBatch(batch);
+  });
   scoreboard_.AttachTelemetry(&telemetry_->registry());
   // All enabled estimation structures are pre-filled during the warm-up
   // phase (Section V-C), so every enabled instance exists from the start.
@@ -162,6 +119,8 @@ LatestModule::LatestModule(const LatestConfig& config)
     if (IsEnabled(kind)) EnsureInstance(kind);
   }
 }
+
+LatestModule::~LatestModule() = default;
 
 void LatestModule::RegisterMetrics() {
   obs::MetricsRegistry& registry = telemetry_->registry();
@@ -192,58 +151,6 @@ void LatestModule::RegisterMetrics() {
       "latest_candidate_estimator",
       "EstimatorKind index of the pre-filling candidate (-1 when none)");
   candidate_gauge_->Set(-1.0);
-  monitor_accuracy_gauge_ = registry.GetGauge(
-      "latest_monitor_accuracy",
-      "Moving-average accuracy of the active estimator");
-  window_population_gauge_ = registry.GetGauge(
-      "latest_window_population", "Objects currently inside the window");
-  store_live_rows_gauge_ = registry.GetGauge(
-      "latest_store_live_rows",
-      "Rows resident in the columnar window store (ground-truth path)");
-  store_arena_bytes_gauge_ = registry.GetGauge(
-      "latest_store_arena_bytes",
-      "Keyword payload bytes held across the store's slice arenas");
-  store_slices_gauge_ = registry.GetGauge(
-      "latest_store_slices_resident",
-      "Window store slices resident (including the open one)");
-  model_records_gauge_ = registry.GetGauge(
-      "latest_model_records", "Training records absorbed by the model");
-  model_leaves_gauge_ =
-      registry.GetGauge("latest_model_leaves", "Hoeffding-tree leaves");
-  model_depth_gauge_ =
-      registry.GetGauge("latest_model_depth", "Hoeffding-tree depth");
-  accuracy_histogram_ = registry.GetHistogram(
-      "latest_query_accuracy", "Per-query estimation accuracy in [0, 1]",
-      obs::Histogram::UnitIntervalBuckets());
-  for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
-    const auto kind = static_cast<estimators::EstimatorKind>(k);
-    if (!IsEnabled(kind)) continue;
-    estimator_latency_histograms_[k] = registry.GetHistogram(
-        "latest_estimate_latency_ms",
-        "Wall clock of Estimate calls per portfolio member (ms)",
-        obs::Histogram::LatencyBucketsMs(),
-        {{"estimator", estimators::EstimatorKindName(kind)}});
-  }
-  kernel_tier_gauge_ = registry.GetGauge(
-      "latest_kernel_tier",
-      "Active SIMD kernel dispatch tier: 0 scalar, 1 sse2, 2 avx2");
-  kernel_tier_gauge_->Set(static_cast<double>(simd::ActiveTier()));
-  const auto stage_histogram = [&registry](const char* stage) {
-    return registry.GetHistogram(
-        "latest_stage_latency_ms",
-        "Per-stage wall clock of estimate-path queries (ms)",
-        obs::Histogram::LatencyBucketsMs(), {{"stage", stage}});
-  };
-  ground_truth_stage_histogram_ = stage_histogram("ground_truth");
-  estimate_stage_histogram_ = stage_histogram("estimate");
-  model_stage_histogram_ = stage_histogram("model_update");
-  batch_size_histogram_ = registry.GetHistogram(
-      "latest_batch_size",
-      "Queries per batched ground-truth evaluation pass",
-      std::vector<double>{1, 2, 4, 8, 16, 32, 64, 128, 256});
-  system_log_.set_batch_observer([this](size_t batch) {
-    batch_size_histogram_->Observe(static_cast<double>(batch));
-  });
   phase_gauge_->Set(static_cast<double>(phase_));
   active_gauge_->Set(static_cast<double>(active_kind_));
 }
@@ -300,59 +207,7 @@ void LatestModule::AdvanceClock(stream::Timestamp t) {
       }
       keyword_stats_.Decay(keyword_decay_);
       keyword_objects_ *= keyword_decay_;
-
-      // Ingest-feature drift: fold the sealed slice's vocabulary churn
-      // and centroid displacement into the drift monitor. Observational
-      // only — nothing downstream of the lifecycle reads these.
-      if (drift_monitor_ != nullptr && slice_objects_ > 0) {
-        const double churn =
-            slice_distinct_keywords_ > 0
-                ? static_cast<double>(slice_new_keywords_) /
-                      static_cast<double>(slice_distinct_keywords_)
-                : 0.0;
-        drift_monitor_->Observe("ingest_vocab_churn", churn,
-                                static_cast<int64_t>(clock_.now()),
-                                queries_counter_->value());
-        const double cx =
-            slice_sum_x_ / static_cast<double>(slice_objects_);
-        const double cy =
-            slice_sum_y_ / static_cast<double>(slice_objects_);
-        if (!centroid_initialized_) {
-          centroid_x_ = cx;
-          centroid_y_ = cy;
-          centroid_initialized_ = true;
-        }
-        const double dx = (cx - centroid_x_) / std::max(
-            1e-9, config_.bounds.max_x - config_.bounds.min_x);
-        const double dy = (cy - centroid_y_) / std::max(
-            1e-9, config_.bounds.max_y - config_.bounds.min_y);
-        const double displacement = std::sqrt(dx * dx + dy * dy);
-        drift_monitor_->Observe("ingest_centroid", displacement,
-                                static_cast<int64_t>(clock_.now()),
-                                queries_counter_->value());
-        // Long-term centroid follows slowly so a persistent hotspot move
-        // shows up as a sustained displacement, not a one-slice blip.
-        centroid_x_ += 0.2 * (cx - centroid_x_);
-        centroid_y_ += 0.2 * (cy - centroid_y_);
-      }
-      slice_distinct_keywords_ = 0;
-      slice_new_keywords_ = 0;
-      slice_sum_x_ = 0.0;
-      slice_sum_y_ = 0.0;
-      slice_objects_ = 0;
-      ++ingest_slice_index_;
-      // Bound the vocabulary map: drop entries stale for > 4 windows.
-      if (vocab_last_slice_.size() > (1u << 16)) {
-        const uint64_t horizon = 4ull * config_.window.num_slices;
-        for (auto it = vocab_last_slice_.begin();
-             it != vocab_last_slice_.end();) {
-          if (it->second + horizon < ingest_slice_index_) {
-            it = vocab_last_slice_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
+      observer_->OnSliceRotated();
     }
   }
   LATEST_SPAN("evict");
@@ -369,28 +224,6 @@ void LatestModule::OnObject(const stream::GeoTextObject& obj) {
   window_population_.Add();
   for (const stream::KeywordId kw : obj.keywords) keyword_stats_.Add(kw);
   keyword_objects_ += 1.0;
-  if (drift_monitor_ != nullptr) {
-    // Per-slice ingest-feature accumulators (folded at slice rotation).
-    for (const stream::KeywordId kw : obj.keywords) {
-      auto [it, inserted] = vocab_last_slice_.try_emplace(
-          kw, ingest_slice_index_);
-      if (inserted) {
-        ++slice_distinct_keywords_;
-        ++slice_new_keywords_;
-      } else if (it->second != ingest_slice_index_) {
-        ++slice_distinct_keywords_;
-        // "New" = absent from the whole preceding window, not merely
-        // from the last slice — that is vocabulary churn, not mixing.
-        if (it->second + config_.window.num_slices < ingest_slice_index_) {
-          ++slice_new_keywords_;
-        }
-        it->second = ingest_slice_index_;
-      }
-    }
-    slice_sum_x_ += obj.loc.x;
-    slice_sum_y_ += obj.loc.y;
-    ++slice_objects_;
-  }
   {
     LATEST_SPAN("estimator_insert");
     for (auto& instance : instances_) {
@@ -398,13 +231,7 @@ void LatestModule::OnObject(const stream::GeoTextObject& obj) {
     }
   }
   objects_counter_->Increment();
-  window_population_gauge_->Set(
-      static_cast<double>(window_population_.total()));
-  // O(1) reads off the columnar store, for memory-budget scrapes.
-  const stream::WindowStore& store = system_log_.store();
-  store_live_rows_gauge_->Set(static_cast<double>(store.resident_rows()));
-  store_arena_bytes_gauge_->Set(static_cast<double>(store.arena_bytes()));
-  store_slices_gauge_->Set(static_cast<double>(store.slices_resident()));
+  observer_->OnIngest(obj);
   if (phase_ == Phase::kWarmup &&
       clock_.now() >= config_.window.window_length_ms) {
     EnterPhase(Phase::kPretraining);
@@ -431,16 +258,6 @@ EstimatorMeasurement LatestModule::Measure(estimators::Estimator* est,
   m.estimate = estimate;
   m.accuracy = EstimationAccuracy(estimate, actual);
   return m;
-}
-
-void LatestModule::MeasurePortfolio(
-    const std::vector<uint32_t>& kinds, const stream::Query& q,
-    uint64_t actual,
-    std::array<EstimatorMeasurement, estimators::kNumEstimatorKinds>* slots)
-    const {
-  for (const uint32_t k : kinds) {
-    (*slots)[k] = Measure(instances_[k].get(), q, actual);
-  }
 }
 
 ml::FeatureVector LatestModule::BuildFeatures(const stream::Query& q) const {
@@ -508,11 +325,7 @@ void LatestModule::SaveDeterministicState(util::BinaryWriter* writer) const {
   SaveStateImpl(writer, /*include_wall_clock=*/false);
 }
 
-void LatestModule::SaveStateImpl(util::BinaryWriter* writer,
-                                 bool include_wall_clock) const {
-  writer->WriteU32(kLifecycleVersion);
-  // Configuration fingerprint: every knob that shapes the serialized
-  // layout or the post-restore decision sequence.
+void LatestModule::WriteFingerprint(util::BinaryWriter* writer) const {
   writer->WriteDouble(config_.alpha);
   writer->WriteDouble(config_.tau);
   writer->WriteDouble(config_.beta);
@@ -530,6 +343,12 @@ void LatestModule::SaveStateImpl(util::BinaryWriter* writer,
   writer->WriteBool(config_.maintain_shadow_estimators);
   writer->WriteDouble(config_.auto_retrain_error_threshold);
   writer->WriteU32(config_.min_queries_between_retrains);
+}
+
+void LatestModule::SaveStateImpl(util::BinaryWriter* writer,
+                                 bool include_wall_clock) const {
+  writer->WriteU32(kLifecycleVersion);
+  WriteFingerprint(writer);
 
   // Phase machine and stream clock.
   writer->WriteU32(static_cast<uint32_t>(phase_));
@@ -603,49 +422,13 @@ util::Status LatestModule::LoadState(util::BinaryReader* reader) {
   if (!reader->ReadU32(&version) || version != kLifecycleVersion) {
     return corrupt("bad version");
   }
-  double alpha;
-  double tau;
-  double beta;
-  double regret_margin;
-  uint32_t pretrain_queries;
-  uint32_t monitor_window;
-  uint32_t min_switch;
-  uint32_t default_kind;
-  if (!reader->ReadDouble(&alpha) || !reader->ReadDouble(&tau) ||
-      !reader->ReadDouble(&beta) || !reader->ReadDouble(&regret_margin) ||
-      !reader->ReadU32(&pretrain_queries) ||
-      !reader->ReadU32(&monitor_window) || !reader->ReadU32(&min_switch) ||
-      !reader->ReadU32(&default_kind)) {
+  util::BinaryWriter expected;
+  WriteFingerprint(&expected);
+  std::string fingerprint(expected.buffer().size(), '\0');
+  if (!reader->ReadBytes(fingerprint.data(), fingerprint.size())) {
     return corrupt("truncated fingerprint");
   }
-  std::array<bool, estimators::kNumEstimatorKinds> enabled;
-  for (auto& e : enabled) {
-    if (!reader->ReadBool(&e)) return corrupt("truncated fingerprint");
-  }
-  int64_t window_length_ms;
-  uint32_t num_slices;
-  uint64_t seed;
-  bool shadow;
-  double retrain_threshold;
-  uint32_t min_retrains;
-  if (!reader->ReadI64(&window_length_ms) || !reader->ReadU32(&num_slices) ||
-      !reader->ReadU64(&seed) || !reader->ReadBool(&shadow) ||
-      !reader->ReadDouble(&retrain_threshold) ||
-      !reader->ReadU32(&min_retrains)) {
-    return corrupt("truncated fingerprint");
-  }
-  if (alpha != config_.alpha || tau != config_.tau || beta != config_.beta ||
-      regret_margin != config_.regret_margin ||
-      pretrain_queries != config_.pretrain_queries ||
-      monitor_window != config_.monitor_window ||
-      min_switch != config_.min_queries_between_switches ||
-      default_kind != static_cast<uint32_t>(config_.default_estimator) ||
-      enabled != config_.enabled_estimators ||
-      window_length_ms != config_.window.window_length_ms ||
-      num_slices != config_.window.num_slices || seed != config_.seed ||
-      shadow != config_.maintain_shadow_estimators ||
-      retrain_threshold != config_.auto_retrain_error_threshold ||
-      min_retrains != config_.min_queries_between_retrains) {
+  if (fingerprint != expected.buffer()) {
     return util::Status::FailedPrecondition(
         "lifecycle snapshot was taken under a different configuration");
   }
@@ -744,23 +527,13 @@ util::Status LatestModule::LoadState(util::BinaryReader* reader) {
     counter->Increment(value - counter->value());
   }
 
-  // Re-publish decision-state gauges (scoreboard gauges refresh on the
-  // next Record).
+  // Re-publish gauges (scoreboard gauges refresh on the next Record).
   phase_gauge_->Set(static_cast<double>(phase_));
   active_gauge_->Set(static_cast<double>(active_kind_));
   candidate_gauge_->Set(candidate_kind_.has_value()
                             ? static_cast<double>(*candidate_kind_)
                             : -1.0);
-  monitor_accuracy_gauge_->Set(accuracy_monitor_.Mean());
-  window_population_gauge_->Set(
-      static_cast<double>(window_population_.total()));
-  const stream::WindowStore& store = system_log_.store();
-  store_live_rows_gauge_->Set(static_cast<double>(store.resident_rows()));
-  store_arena_bytes_gauge_->Set(static_cast<double>(store.arena_bytes()));
-  store_slices_gauge_->Set(static_cast<double>(store.slices_resident()));
-  model_records_gauge_->Set(static_cast<double>(model_->num_trained()));
-  model_leaves_gauge_->Set(static_cast<double>(model_->num_leaves()));
-  model_depth_gauge_->Set(static_cast<double>(model_->depth()));
+  observer_->Resync();
   return util::Status::Ok();
 }
 
@@ -914,9 +687,9 @@ bool LatestModule::MaybeSwitch(const stream::Query& q, uint64_t query_index) {
       event.recommended = static_cast<int32_t>(recommendation);
       telemetry_->events().Append(event);
       switches_counter_->Increment();
-      RecordSwitchAudit(q, weights, to, recommendation,
-                        /*had_prefilled_candidate=*/
-                        candidate_kind_.has_value());
+      observer_->OnSwitch(q, weights, to, recommendation,
+                          /*had_prefilled_candidate=*/
+                          candidate_kind_.has_value());
       active_kind_ = to;
       candidate_kind_.reset();
       last_switch_query_ = query_index;
@@ -1031,318 +804,114 @@ QueryOutcome LatestModule::OnQueryImpl(const stream::Query& q,
   outcome.phase = phase_;
   outcome.active = active_kind_;
 
-  switch (phase_) {
-    case Phase::kWarmup: {
-      // The paper's warm-up receives no queries; answer with the default
-      // estimator without any training.
-      const util::Stopwatch estimate_watch;
-      EstimatorMeasurement m;
-      {
-        LATEST_SPAN("estimate");
-        m = Measure(EnsureInstance(active_kind_), q, actual);
-      }
-      const double estimate_ms = estimate_watch.ElapsedMillis();
-      outcome.estimate = m.estimate;
-      outcome.accuracy = m.accuracy;
-      outcome.latency_ms = m.latency_ms;
-      FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms,
-                  /*model_ms=*/0.0);
-      return outcome;
+  if (phase_ == Phase::kWarmup) {
+    // The paper's warm-up receives no queries; answer with the default
+    // estimator without any training.
+    const util::Stopwatch estimate_watch;
+    EstimatorMeasurement m;
+    {
+      LATEST_SPAN("estimate");
+      m = Measure(EnsureInstance(active_kind_), q, actual);
     }
+    const double estimate_ms = estimate_watch.ElapsedMillis();
+    outcome.estimate = m.estimate;
+    outcome.accuracy = m.accuracy;
+    outcome.latency_ms = m.latency_ms;
+    FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms,
+                /*model_ms=*/0.0);
+    return outcome;
+  }
 
-    case Phase::kPretraining: {
-      // Run the query on every enabled estimator and label the training
-      // record with the best alpha-blended performer (Section V-C).
-      // Measurements land in per-kind slots; scoreboard EWMAs, feedback,
-      // and the latency scaler are updated afterwards, in kind order.
-      const util::Stopwatch estimate_watch;
-      outcome.measurements.reserve(estimators::kNumEstimatorKinds);
-      EstimatorMeasurement active_m;
-      std::vector<uint32_t> kinds;
-      kinds.reserve(estimators::kNumEstimatorKinds);
-      for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
-        const auto kind = static_cast<estimators::EstimatorKind>(k);
-        if (!IsEnabled(kind)) continue;
-        EnsureInstance(kind);
-        kinds.push_back(k);
-      }
-      std::array<EstimatorMeasurement, estimators::kNumEstimatorKinds>
-          slots;
-      {
-        LATEST_SPAN("estimate");
-        MeasurePortfolio(kinds, q, actual, &slots);
-      }
-      for (const uint32_t k : kinds) {
-        const auto kind = static_cast<estimators::EstimatorKind>(k);
-        const EstimatorMeasurement& m = slots[k];
-        scoreboard_.Record(type, m);
-        instance(kind)->OnFeedback(q, m.estimate, actual);
-        if (kind == active_kind_) active_m = m;
-        outcome.measurements.push_back(m);
-      }
-      const double estimate_ms = estimate_watch.ElapsedMillis();
-
-      const util::Stopwatch model_watch;
-      uint32_t best = static_cast<uint32_t>(active_kind_);
-      double best_score = -1.0;
-      for (const auto& m : outcome.measurements) {
-        const double score =
-            BlendedScore(m.accuracy, scoreboard_.NormalizeLatency(m.latency_ms),
-                         config_.alpha);
-        if (score > best_score) {
-          best_score = score;
-          best = static_cast<uint32_t>(m.kind);
-        }
-      }
-      {
-        LATEST_SPAN("tree_train");
-        model_->Train(ml::TrainingExample{BuildFeatures(q), best});
-      }
-
-      outcome.estimate = active_m.estimate;
-      outcome.accuracy = active_m.accuracy;
-      outcome.latency_ms = active_m.latency_ms;
-      accuracy_monitor_.Add(active_m.accuracy);
-      outcome.monitor_accuracy = accuracy_monitor_.Mean();
-      TrackModelError(RelativeError(active_m.estimate, actual));
-      const double model_ms = model_watch.ElapsedMillis();
-
-      if (++pretrain_seen_ >= config_.pretrain_queries) {
-        ConcludePretraining();
-      }
-      FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms, model_ms);
-      return outcome;
+  // Pre-training runs the query on every enabled estimator (Section V-C).
+  // The incremental phase measures the active estimator, the pre-filling
+  // candidate and, in evaluation mode, every shadow estimator. Measurements
+  // land in per-kind slots; scoreboard EWMAs, feedback, and the latency
+  // scaler are updated afterwards, in kind order.
+  const bool pretraining = phase_ == Phase::kPretraining;
+  if (!pretraining) ++incremental_queries_;
+  const util::Stopwatch estimate_watch;
+  EstimatorMeasurement active_m;
+  std::vector<uint32_t> kinds;
+  kinds.reserve(estimators::kNumEstimatorKinds);
+  for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
+    const auto kind = static_cast<estimators::EstimatorKind>(k);
+    if (pretraining) {
+      if (!IsEnabled(kind)) continue;
+      EnsureInstance(kind);
+    } else if (instance(kind) == nullptr ||
+               (kind != active_kind_ && kind != candidate_kind_ &&
+                !config_.maintain_shadow_estimators)) {
+      continue;
     }
-
-    case Phase::kIncremental: {
-      ++incremental_queries_;
-      // Measure the active estimator (always), the pre-filling candidate,
-      // and — in evaluation mode — every shadow estimator. Measurement
-      // and bookkeeping mirror the pre-training phase.
-      const util::Stopwatch estimate_watch;
-      EstimatorMeasurement active_m;
-      std::vector<uint32_t> kinds;
-      kinds.reserve(estimators::kNumEstimatorKinds);
-      for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
-        const auto kind = static_cast<estimators::EstimatorKind>(k);
-        if (instance(kind) == nullptr) continue;
-        const bool is_active = kind == active_kind_;
-        const bool is_candidate =
-            candidate_kind_.has_value() && kind == *candidate_kind_;
-        if (!is_active && !is_candidate &&
-            !config_.maintain_shadow_estimators) {
-          continue;
-        }
-        kinds.push_back(k);
-      }
-      std::array<EstimatorMeasurement, estimators::kNumEstimatorKinds>
-          slots;
-      {
-        LATEST_SPAN("estimate");
-        MeasurePortfolio(kinds, q, actual, &slots);
-      }
-      for (const uint32_t k : kinds) {
-        const auto kind = static_cast<estimators::EstimatorKind>(k);
-        const EstimatorMeasurement& m = slots[k];
-        scoreboard_.Record(type, m);
-        instance(kind)->OnFeedback(q, m.estimate, actual);
-        const bool is_candidate =
-            candidate_kind_.has_value() && kind == *candidate_kind_;
-        if (kind == active_kind_) active_m = m;
-        if (config_.maintain_shadow_estimators || is_candidate) {
-          outcome.measurements.push_back(m);
-        }
-      }
-      const double estimate_ms = estimate_watch.ElapsedMillis();
-
-      // System-log feedback becomes an additional training record labeled
-      // with the scoreboard's current best (Section V-D).
-      const util::Stopwatch model_watch;
-      const auto label = static_cast<uint32_t>(
-          scoreboard_.BestFor(type, config_.alpha));
-      {
-        LATEST_SPAN("tree_train");
-        model_->Train(ml::TrainingExample{BuildFeatures(q), label});
-      }
-
-      outcome.estimate = active_m.estimate;
-      outcome.accuracy = active_m.accuracy;
-      outcome.latency_ms = active_m.latency_ms;
-      accuracy_monitor_.Add(active_m.accuracy);
-      outcome.monitor_accuracy = accuracy_monitor_.Mean();
-      TrackModelError(RelativeError(active_m.estimate, actual));
-      outcome.switched = MaybeSwitch(q, incremental_queries_);
-      outcome.active = active_kind_;
-      const double model_ms = model_watch.ElapsedMillis();
-      FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms, model_ms);
-      return outcome;
+    kinds.push_back(k);
+  }
+  std::array<EstimatorMeasurement, estimators::kNumEstimatorKinds> slots;
+  {
+    LATEST_SPAN("estimate");
+    for (const uint32_t k : kinds) {
+      slots[k] = Measure(instances_[k].get(), q, actual);
     }
   }
+  for (const uint32_t k : kinds) {
+    const auto kind = static_cast<estimators::EstimatorKind>(k);
+    const EstimatorMeasurement& m = slots[k];
+    scoreboard_.Record(type, m);
+    instance(kind)->OnFeedback(q, m.estimate, actual);
+    if (kind == active_kind_) active_m = m;
+    if (pretraining || config_.maintain_shadow_estimators ||
+        kind == candidate_kind_) {
+      outcome.measurements.push_back(m);
+    }
+  }
+  const double estimate_ms = estimate_watch.ElapsedMillis();
+
+  // Pre-training labels the training record with the best alpha-blended
+  // performer; afterwards system-log feedback becomes an additional
+  // record labeled with the scoreboard's current best (Section V-D).
+  const util::Stopwatch model_watch;
+  auto label = static_cast<uint32_t>(active_kind_);
+  if (pretraining) {
+    double best_score = -1.0;
+    for (const auto& m : outcome.measurements) {
+      const double score =
+          BlendedScore(m.accuracy, scoreboard_.NormalizeLatency(m.latency_ms),
+                       config_.alpha);
+      if (score > best_score) {
+        best_score = score;
+        label = static_cast<uint32_t>(m.kind);
+      }
+    }
+  } else {
+    label = static_cast<uint32_t>(scoreboard_.BestFor(type, config_.alpha));
+  }
+  {
+    LATEST_SPAN("tree_train");
+    model_->Train(ml::TrainingExample{BuildFeatures(q), label});
+  }
+
+  outcome.estimate = active_m.estimate;
+  outcome.accuracy = active_m.accuracy;
+  outcome.latency_ms = active_m.latency_ms;
+  accuracy_monitor_.Add(active_m.accuracy);
+  outcome.monitor_accuracy = accuracy_monitor_.Mean();
+  TrackModelError(RelativeError(active_m.estimate, actual));
+  if (!pretraining) {
+    outcome.switched = MaybeSwitch(q, incremental_queries_);
+    outcome.active = active_kind_;
+  }
+  const double model_ms = model_watch.ElapsedMillis();
+  if (pretraining && ++pretrain_seen_ >= config_.pretrain_queries) {
+    ConcludePretraining();
+  }
+  FinishQuery(outcome, ordinal, ground_truth_ms, estimate_ms, model_ms);
   return outcome;
 }
 
 void LatestModule::FinishQuery(const QueryOutcome& outcome, uint64_t ordinal,
                                double ground_truth_ms, double estimate_ms,
                                double model_ms) {
-  last_stage_breakdown_.ground_truth_ms = ground_truth_ms;
-  last_stage_breakdown_.estimate_ms = estimate_ms;
-  last_stage_breakdown_.model_ms = model_ms;
-  ground_truth_stage_histogram_->Observe(ground_truth_ms);
-  estimate_stage_histogram_->Observe(estimate_ms);
-  model_stage_histogram_->Observe(model_ms);
-  accuracy_histogram_->Observe(outcome.accuracy);
-  monitor_accuracy_gauge_->Set(accuracy_monitor_.Mean());
-  window_population_gauge_->Set(
-      static_cast<double>(window_population_.total()));
-  model_records_gauge_->Set(static_cast<double>(model_->num_trained()));
-  model_leaves_gauge_->Set(static_cast<double>(model_->num_leaves()));
-  model_depth_gauge_->Set(static_cast<double>(model_->depth()));
-
-  // Feed the per-estimator latency histograms once per measurement; if
-  // the active estimator was measured outside `measurements` (incremental
-  // phase without shadows), add its latency separately.
-  bool active_measured = false;
-  for (const auto& m : outcome.measurements) {
-    obs::Histogram* histogram =
-        estimator_latency_histograms_[static_cast<uint32_t>(m.kind)];
-    if (histogram != nullptr) histogram->Observe(m.latency_ms);
-    if (m.kind == outcome.active) active_measured = true;
-  }
-  if (!active_measured) {
-    obs::Histogram* histogram =
-        estimator_latency_histograms_[static_cast<uint32_t>(outcome.active)];
-    if (histogram != nullptr) histogram->Observe(outcome.latency_ms);
-  }
-
-  // Quality observability: fold every ground-truth measurement into the
-  // per-estimator error accountant, subscribe the active estimator's
-  // smoothed error to drift detection, and advance pending switch-audit
-  // resolution windows by this query. Strictly observational — none of
-  // this feeds back into the lifecycle.
-  if (error_accountant_ != nullptr) {
-    const double actual = static_cast<double>(outcome.actual);
-    std::vector<std::pair<int32_t, double>> measured;
-    measured.reserve(outcome.measurements.size() + 1);
-    for (const auto& m : outcome.measurements) {
-      error_accountant_->Record(m.kind, m.estimate, actual);
-      measured.emplace_back(static_cast<int32_t>(m.kind), m.accuracy);
-    }
-    if (!active_measured) {
-      error_accountant_->Record(outcome.active, outcome.estimate, actual);
-      measured.emplace_back(static_cast<int32_t>(outcome.active),
-                            outcome.accuracy);
-    }
-    if (drift_monitor_ != nullptr) {
-      drift_monitor_->Observe(
-          std::string("error_") +
-              estimators::EstimatorKindName(outcome.active),
-          error_accountant_->EwmaRelativeError(outcome.active),
-          static_cast<int64_t>(clock_.now()), ordinal + 1);
-    }
-    if (audit_trail_ != nullptr) audit_trail_->ResolveQuery(measured);
-  }
-  if (flight_recorder_ != nullptr &&
-      config_.quality.flight_tick_every_queries > 0 &&
-      (ordinal + 1) % config_.quality.flight_tick_every_queries == 0) {
-    flight_recorder_->Tick(static_cast<int64_t>(clock_.now()), ordinal + 1);
-  }
-
-  // Query-driven SLO evaluation: stamps breach events with stream event
-  // time (the server's ticker thread stamps 0).
-  if (config_.slo_eval_every_queries > 0 &&
-      (ordinal + 1) % config_.slo_eval_every_queries == 0) {
-    slo_monitor_->EvaluateAll(static_cast<int64_t>(clock_.now()));
-  }
-
-  // Postmortem on the healthy -> degraded edge (one bundle per episode,
-  // not per breached tick). Requires a configured directory.
-  const bool degraded_now = slo_monitor_->degraded();
-  if (degraded_now && !was_degraded_ && flight_recorder_ != nullptr &&
-      !config_.quality.postmortem_dir.empty()) {
-    const util::Result<std::string> written = DumpPostmortem("slo_breach");
-    if (!written.ok()) {
-      obs::Event event = MakeEvent(obs::EventType::kPostmortemFailed);
-      event.note = written.status().message();
-      telemetry_->events().Append(event);
-    }
-  }
-  was_degraded_ = degraded_now;
-}
-
-void LatestModule::RecordSwitchAudit(const stream::Query& q,
-                                     const std::array<double, 3>& weights,
-                                     estimators::EstimatorKind to,
-                                     estimators::EstimatorKind recommended,
-                                     bool had_prefilled_candidate) {
-  if (audit_trail_ == nullptr) return;
-  obs::SwitchAuditEntry entry;
-  entry.timestamp = static_cast<int64_t>(clock_.now());
-  entry.query_count = queries_counter_->value();
-  entry.trigger = had_prefilled_candidate ? "prefill" : "tree_infer";
-  const ml::FeatureVector features = BuildFeatures(q);
-  entry.features.reserve(features.categorical.size() +
-                         features.numeric.size());
-  for (const int categorical : features.categorical) {
-    entry.features.push_back(static_cast<double>(categorical));
-  }
-  entry.features.insert(entry.features.end(), features.numeric.begin(),
-                        features.numeric.end());
-  entry.scores.assign(estimators::kNumEstimatorKinds, 0.0);
-  for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
-    const auto kind = static_cast<estimators::EstimatorKind>(k);
-    if (!IsEnabled(kind)) continue;
-    entry.scores[k] =
-        scoreboard_.WeightedScore(kind, weights, config_.alpha).value_or(0.0);
-  }
-  entry.from_estimator = static_cast<int32_t>(active_kind_);
-  entry.chosen_estimator = static_cast<int32_t>(to);
-  entry.recommended_estimator = static_cast<int32_t>(recommended);
-  entry.monitor_accuracy = accuracy_monitor_.Mean();
-  audit_trail_->Record(std::move(entry), estimators::kNumEstimatorKinds);
-}
-
-util::Result<std::string> LatestModule::DumpPostmortem(
-    const std::string& reason, std::string dir) {
-  if (flight_recorder_ == nullptr) {
-    return util::Status::InvalidArgument(
-        "quality observability is disabled (config.quality.enabled)");
-  }
-  if (dir.empty()) dir = config_.quality.postmortem_dir;
-  if (dir.empty()) {
-    return util::Status::InvalidArgument(
-        "no postmortem directory configured");
-  }
-  // Capture a final frame so the bundle always includes the state at the
-  // moment of the trigger, not just the last periodic tick.
-  flight_recorder_->Tick(static_cast<int64_t>(clock_.now()),
-                         queries_counter_->value());
-  std::vector<std::string> annotations;
-  annotations.push_back(std::string("phase=") + PhaseName(phase_));
-  annotations.push_back(std::string("active_estimator=") +
-                        estimators::EstimatorKindName(active_kind_));
-  for (const std::string& rule : slo_monitor_->BreachedRules()) {
-    annotations.push_back("breached_rule=" + rule);
-  }
-  util::Result<std::string> written =
-      flight_recorder_->WriteBundle(dir, reason, annotations);
-  if (written.ok()) {
-    obs::Event event = MakeEvent(obs::EventType::kPostmortemDumped);
-    event.note = reason;
-    telemetry_->events().Append(event);
-  }
-  return written;
-}
-
-uint64_t LatestModule::objects_ingested() const {
-  return objects_counter_->value();
-}
-
-uint64_t LatestModule::queries_answered() const {
-  return queries_counter_->value();
-}
-
-uint64_t LatestModule::model_retrains() const {
-  return retrains_counter_->value();
+  last_stage_breakdown_ = {ground_truth_ms, estimate_ms, model_ms};
+  observer_->OnQueryFinished(outcome, ordinal, last_stage_breakdown_);
 }
 
 }  // namespace latest::core

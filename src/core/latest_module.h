@@ -22,6 +22,10 @@
 // produces its per-estimator timelines while LATEST's selection is
 // highlighted. Production deployments leave it off: only the active (and
 // a pre-filling candidate) structure is maintained.
+//
+// Observability beyond the lifecycle counters and event log is attached
+// through ModuleObserver (core/module_observer.h), which the module calls
+// on ingest, slice rotation, query completion, and switch.
 
 #ifndef LATEST_CORE_LATEST_MODULE_H_
 #define LATEST_CORE_LATEST_MODULE_H_
@@ -30,20 +34,16 @@
 #include <memory>
 #include <string>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "core/module_observer.h"
 #include "core/scoreboard.h"
 #include "estimators/estimator.h"
 #include "estimators/space_saving.h"
 #include "exact/exact_evaluator.h"
 #include "ml/hoeffding_tree.h"
-#include "obs/audit_trail.h"
 #include "obs/drift_detector.h"
-#include "obs/error_accounting.h"
-#include "obs/flight_recorder.h"
 #include "obs/slo_monitor.h"
-#include "obs/statusz.h"
 #include "obs/telemetry.h"
 #include "stream/object.h"
 #include "stream/query.h"
@@ -91,14 +91,10 @@ struct LatestConfig {
   /// Accuracy switch threshold tau (Section V-D).
   double tau = 0.62;
 
-  /// Pre-fill threshold factor beta in (0, 1): pre-filling starts when the
-  /// moving accuracy falls below beta... i.e. accuracy < tau / beta ...
-  /// precisely: pre-fill when accuracy < beta_prefill_threshold() and
-  /// switch when accuracy < tau, with prefill threshold = tau / beta > tau
-  /// conceptually. The paper defines pre-fill at beta * tau with
-  /// 0 < beta < 1 and switch at tau; since beta * tau < tau, we follow the
-  /// paper's *intent* (anticipate the switch) by pre-filling at the HIGHER
-  /// threshold tau / beta and switching at tau.
+  /// Pre-fill threshold factor beta in (0, 1). The paper pre-fills at
+  /// beta * tau and switches at tau; since beta * tau < tau, we follow its
+  /// *intent* (anticipate the switch) by pre-filling at the HIGHER
+  /// threshold tau / beta (PrefillThreshold()) and switching at tau.
   double beta = 0.875;
 
   /// Blended-score regret trigger: a switch is also considered when the
@@ -145,7 +141,8 @@ struct LatestConfig {
   /// Live introspection plane (obs/statusz.h). When enabled, Create()
   /// starts an embedded HTTP server on 127.0.0.1:`introspection_port`
   /// serving /metrics, /vars, /healthz, /statusz, and /tracez; a port of
-  /// 0 binds an ephemeral one (read it back via introspection()->port()).
+  /// 0 binds an ephemeral one (read it back via
+  /// observer().introspection()->port()).
   /// All introspection fields are deliberately EXCLUDED from the
   /// SaveState configuration fingerprint — the exposition plane never
   /// affects lifecycle state, so snapshots stay interchangeable between
@@ -174,21 +171,15 @@ struct LatestConfig {
   /// is EXCLUDED from the SaveState configuration fingerprint.
   struct QualityObs {
     /// Master switch for the whole quality plane (error accounting,
-    /// drift detectors, audit trail, flight recorder).
+    /// drift detectors, audit trail, flight recorder; their fixed sizes
+    /// are ModuleObserver constants).
     bool enabled = true;
-    /// Switch-audit ring capacity and counterfactual window (queries).
-    uint32_t audit_capacity = 256;
-    uint32_t audit_resolution_window = 32;
     /// Detector parameters for every monitored drift series (Page-Hinkley
     /// slack/threshold, AdwinLite confidence/window, cooldown). The
     /// scenario replay harness pins per-scenario detection-delay bounds
     /// against these knobs; like everything else in the quality plane
     /// they are observational and fingerprint-excluded.
     obs::DriftMonitor::Options drift;
-    /// Flight-recorder frames retained, and the frame cadence in
-    /// answered queries (0 disables frame capture).
-    uint32_t flight_frames = 120;
-    uint32_t flight_tick_every_queries = 64;
     /// When non-empty, an SLO-degradation edge automatically dumps a
     /// postmortem bundle into this directory.
     std::string postmortem_dir;
@@ -212,10 +203,11 @@ struct SwitchEvent {
 };
 
 /// Per-query wall-time attribution of the module's internal stages: the
-/// module's only stage timer. Every query observes it into the
-/// `latest_stage_latency_ms{stage=...}` histograms, and OnQueryBatch
-/// hands it to the serving plane's request waterfalls. Strictly
-/// observational: no influence on estimates or phase bookkeeping.
+/// module's only stage timer. Every query's breakdown feeds the
+/// observer's `latest_stage_latency_ms{stage=...}` histograms, and
+/// OnQueryBatch hands it to the serving plane's request waterfalls.
+/// Strictly observational: no influence on estimates or phase
+/// bookkeeping.
 struct QueryStageBreakdown {
   double ground_truth_ms = 0.0;
   double estimate_ms = 0.0;
@@ -246,6 +238,7 @@ class LatestModule {
   static util::Result<std::unique_ptr<LatestModule>> Create(
       const LatestConfig& config);
 
+  ~LatestModule();
   LatestModule(const LatestModule&) = delete;
   LatestModule& operator=(const LatestModule&) = delete;
 
@@ -295,10 +288,10 @@ class LatestModule {
   uint64_t window_population() const { return window_population_.total(); }
 
   /// Objects ingested over the stream lifetime (telemetry-backed).
-  uint64_t objects_ingested() const;
+  uint64_t objects_ingested() const { return objects_counter_->value(); }
 
   /// Queries answered over the stream lifetime (telemetry-backed).
-  uint64_t queries_answered() const;
+  uint64_t queries_answered() const { return queries_counter_->value(); }
 
   const LatestConfig& config() const { return config_; }
 
@@ -307,48 +300,15 @@ class LatestModule {
   void ResetModel();
 
   /// Automatic model retrainings performed so far (telemetry-backed).
-  uint64_t model_retrains() const;
+  uint64_t model_retrains() const { return retrains_counter_->value(); }
 
   /// Metrics registry and lifecycle event log.
   obs::Telemetry& telemetry() { return *telemetry_; }
   const obs::Telemetry& telemetry() const { return *telemetry_; }
 
-  /// Declarative SLO monitor over the module's registry (always present;
-  /// rules come from LatestConfig::slo_rules or the defaults).
-  obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
-  const obs::SloMonitor& slo_monitor() const { return *slo_monitor_; }
-
-  /// The embedded introspection server, or null when
-  /// LatestConfig::enable_introspection is false.
-  obs::IntrospectionServer* introspection() { return introspection_.get(); }
-  const obs::IntrospectionServer* introspection() const {
-    return introspection_.get();
-  }
-
-  /// Estimation-quality observability components; null when
-  /// LatestConfig::quality.enabled is false.
-  obs::ErrorAccountant* error_accountant() { return error_accountant_.get(); }
-  const obs::ErrorAccountant* error_accountant() const {
-    return error_accountant_.get();
-  }
-  obs::DriftMonitor* drift_monitor() { return drift_monitor_.get(); }
-  const obs::DriftMonitor* drift_monitor() const {
-    return drift_monitor_.get();
-  }
-  obs::SwitchAuditTrail* audit_trail() { return audit_trail_.get(); }
-  const obs::SwitchAuditTrail* audit_trail() const {
-    return audit_trail_.get();
-  }
-  obs::FlightRecorder* flight_recorder() { return flight_recorder_.get(); }
-  const obs::FlightRecorder* flight_recorder() const {
-    return flight_recorder_.get();
-  }
-
-  /// Dumps a flight-recorder postmortem bundle into `dir` (defaults to
-  /// config().quality.postmortem_dir). Returns the bundle path. Fails
-  /// when the quality plane is disabled or the directory is unusable.
-  util::Result<std::string> DumpPostmortem(const std::string& reason,
-                                           std::string dir = "");
+  /// Metrics, the quality plane, the SLO monitor and the introspection
+  /// server (core/module_observer.h). Always present.
+  ModuleObserver& observer() { return *observer_; }
 
   /// Persists the COMPLETE lifecycle — phase machine, clock, window
   /// contents, every live estimator, model, scoreboard, monitors, and
@@ -377,6 +337,9 @@ class LatestModule {
   }
 
  private:
+  /// Reads (never writes) lifecycle state for its gauges and audits.
+  friend class ModuleObserver;
+
   explicit LatestModule(const LatestConfig& config);
 
   /// Lazily constructs the estimator instance for a kind.
@@ -393,15 +356,6 @@ class LatestModule {
   EstimatorMeasurement Measure(estimators::Estimator* est,
                                const stream::Query& q, uint64_t actual) const;
 
-  /// Measures every kind in `kinds` (instances must exist) in `kinds`
-  /// order, writing each result into its slot. No shared mutable state
-  /// is touched: Record/OnFeedback stay with the caller.
-  void MeasurePortfolio(
-      const std::vector<uint32_t>& kinds, const stream::Query& q,
-      uint64_t actual,
-      std::array<EstimatorMeasurement, estimators::kNumEstimatorKinds>*
-          slots) const;
-
   /// Builds the learning-model feature vector for a query.
   ml::FeatureVector BuildFeatures(const stream::Query& q) const;
 
@@ -411,8 +365,13 @@ class LatestModule {
   /// Pre-fill / discard / switch logic after an incremental query.
   bool MaybeSwitch(const stream::Query& q, uint64_t query_index);
 
-  /// Registers the module's metric handles against telemetry_.
+  /// Registers the lifetime counters and decision-state gauges.
   void RegisterMetrics();
+
+  /// Configuration fingerprint: every knob that shapes the serialized
+  /// layout or the post-restore decision sequence. LoadState refuses a
+  /// snapshot whose fingerprint bytes differ.
+  void WriteFingerprint(util::BinaryWriter* writer) const;
 
   /// Shared body of SaveState/SaveDeterministicState.
   void SaveStateImpl(util::BinaryWriter* writer,
@@ -432,8 +391,8 @@ class LatestModule {
                            const uint64_t* precomputed_actual,
                            double precomputed_truth_ms);
 
-  /// Per-query telemetry tail: counters, gauges, and histograms,
-  /// including the three stage histograms fed from the breakdown.
+  /// Records the query's stage breakdown and hands the finished query to
+  /// the observer.
   void FinishQuery(const QueryOutcome& outcome, uint64_t ordinal,
                    double ground_truth_ms, double estimate_ms,
                    double model_ms);
@@ -490,42 +449,11 @@ class LatestModule {
   uint64_t queries_since_retrain_ = 0;
 
   /// Telemetry: the registry is the source of truth for lifetime
-  /// counters (objects_ingested(), queries_answered(), ...).
+  /// counters (objects_ingested(), queries_answered(), ...). Declared
+  /// before observer_, which registers into it and must die first.
   std::unique_ptr<obs::Telemetry> telemetry_;
-  std::unique_ptr<obs::SloMonitor> slo_monitor_;
-  std::unique_ptr<obs::IntrospectionServer> introspection_;
+  std::unique_ptr<ModuleObserver> observer_;
 
-  /// Estimation-quality plane (null when config_.quality.enabled is
-  /// false). Strictly observational: fed from the query/ingest paths,
-  /// never read back by lifecycle decisions, never persisted.
-  std::unique_ptr<obs::ErrorAccountant> error_accountant_;
-  std::unique_ptr<obs::DriftMonitor> drift_monitor_;
-  std::unique_ptr<obs::SwitchAuditTrail> audit_trail_;
-  std::unique_ptr<obs::FlightRecorder> flight_recorder_;
-
-  /// Records the decision context of a switch into the audit trail.
-  void RecordSwitchAudit(const stream::Query& q,
-                         const std::array<double, 3>& weights,
-                         estimators::EstimatorKind to,
-                         estimators::EstimatorKind recommended,
-                         bool had_prefilled_candidate);
-
-  /// Ingest-feature drift state: per-slice keyword vocabulary and
-  /// spatial centroid accumulators, folded into the drift monitor at
-  /// slice rotation. Not part of any persisted or fingerprinted state.
-  std::unordered_map<stream::KeywordId, uint64_t> vocab_last_slice_;
-  uint64_t ingest_slice_index_ = 0;
-  uint64_t slice_distinct_keywords_ = 0;
-  uint64_t slice_new_keywords_ = 0;
-  double slice_sum_x_ = 0.0;
-  double slice_sum_y_ = 0.0;
-  uint64_t slice_objects_ = 0;
-  bool centroid_initialized_ = false;
-  double centroid_x_ = 0.0;
-  double centroid_y_ = 0.0;
-
-  /// SLO-degradation edge for automatic postmortem dumps.
-  bool was_degraded_ = false;
   obs::Counter* objects_counter_ = nullptr;
   obs::Counter* queries_counter_ = nullptr;
   obs::Counter* switches_counter_ = nullptr;
@@ -535,22 +463,6 @@ class LatestModule {
   obs::Gauge* phase_gauge_ = nullptr;
   obs::Gauge* active_gauge_ = nullptr;
   obs::Gauge* candidate_gauge_ = nullptr;
-  obs::Gauge* monitor_accuracy_gauge_ = nullptr;
-  obs::Gauge* window_population_gauge_ = nullptr;
-  obs::Gauge* store_live_rows_gauge_ = nullptr;
-  obs::Gauge* store_arena_bytes_gauge_ = nullptr;
-  obs::Gauge* store_slices_gauge_ = nullptr;
-  obs::Gauge* model_records_gauge_ = nullptr;
-  obs::Gauge* model_leaves_gauge_ = nullptr;
-  obs::Gauge* model_depth_gauge_ = nullptr;
-  obs::Gauge* kernel_tier_gauge_ = nullptr;
-  obs::Histogram* accuracy_histogram_ = nullptr;
-  obs::Histogram* batch_size_histogram_ = nullptr;
-  std::array<obs::Histogram*, estimators::kNumEstimatorKinds>
-      estimator_latency_histograms_{};
-  obs::Histogram* ground_truth_stage_histogram_ = nullptr;
-  obs::Histogram* estimate_stage_histogram_ = nullptr;
-  obs::Histogram* model_stage_histogram_ = nullptr;
 
   /// Threshold-crossing edge detection for the event log.
   bool monitor_below_prefill_ = false;

@@ -1,10 +1,6 @@
 #include "exact/quadtree_index.h"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
-
-#include "simd/kernels.h"
 
 namespace latest::exact {
 
@@ -126,99 +122,6 @@ uint64_t QuadTreeIndex::CountMatches(const stream::Query& q,
                                      stream::Timestamp cutoff) {
   const stream::WindowStore::Reader reader(*store_);
   return CountNode(root_.get(), q, cutoff, reader);
-}
-
-void QuadTreeIndex::CountNodeBatch(Node* node, std::vector<uint32_t>* active,
-                                   size_t a_begin, size_t a_end,
-                                   const stream::Query* const* queries,
-                                   const stream::Timestamp* cutoffs,
-                                   stream::Timestamp min_cutoff, bool want_kws,
-                                   bool want_ts,
-                                   const stream::WindowStore::Reader& reader,
-                                   GatheredRows* scratch, uint64_t* counts) {
-  if (node->is_leaf) {
-    // Evicting at the batch-minimum cutoff keeps every row any active
-    // query may count; stricter cutoffs skip the stale prefix via a lower
-    // bound over the gathered (arrival-ordered) timestamps.
-    EvictLeaf(node, min_cutoff, reader);
-    const size_t n = node->live();
-    if (n == 0) return;
-    scratch->Gather(reader, node->rows.data() + node->head, n, want_kws,
-                    want_ts);
-    for (size_t a = a_begin; a < a_end; ++a) {
-      const uint32_t qi = (*active)[a];
-      const stream::Query& q = *queries[qi];
-      size_t start = 0;
-      if (cutoffs[qi] > min_cutoff) {
-        start = simd::LowerBoundTimestamp(scratch->ts.data(), n, cutoffs[qi]);
-      }
-      if (q.HasKeywords()) {
-        uint64_t c = 0;
-        const stream::KeywordId* q_kw = q.keywords.data();
-        const size_t q_len = q.keywords.size();
-        for (size_t i = start; i < n; ++i) {
-          if (q.HasRange() && !q.range->Contains(scratch->locs[i])) continue;
-          if (simd::AnyKeywordIntersect(scratch->kws[i].first,
-                                        scratch->kws[i].second, q_kw,
-                                        q_len)) {
-            ++c;
-          }
-        }
-        counts[qi] += c;
-      } else if (q.HasRange()) {
-        counts[qi] += simd::RectContainCount(scratch->locs.data() + start,
-                                             n - start, *q.range);
-      } else {
-        counts[qi] += n - start;
-      }
-    }
-    return;
-  }
-  for (auto& child : node->children) {
-    const size_t child_begin = active->size();
-    for (size_t a = a_begin; a < a_end; ++a) {
-      const uint32_t qi = (*active)[a];
-      if (!queries[qi]->HasRange() ||
-          queries[qi]->range->Intersects(child->cell)) {
-        active->push_back(qi);
-      }
-    }
-    if (active->size() > child_begin) {
-      CountNodeBatch(child.get(), active, child_begin, active->size(),
-                     queries, cutoffs, min_cutoff, want_kws, want_ts, reader,
-                     scratch, counts);
-    }
-    active->resize(child_begin);
-  }
-}
-
-void QuadTreeIndex::CountMatchesBatch(const stream::Query* const* queries,
-                                      const stream::Timestamp* cutoffs,
-                                      size_t k, uint64_t* counts) {
-  if (k == 0) return;
-  stream::Timestamp min_cutoff =
-      std::numeric_limits<stream::Timestamp>::max();
-  bool want_kws = false;
-  std::vector<uint32_t> active;
-  active.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    counts[i] = 0;
-    // Root-level prune, as in CountNode.
-    if (queries[i]->HasRange() && !queries[i]->range->Intersects(root_->cell)) {
-      continue;
-    }
-    active.push_back(static_cast<uint32_t>(i));
-    min_cutoff = std::min(min_cutoff, cutoffs[i]);
-    want_kws |= queries[i]->HasKeywords();
-  }
-  if (active.empty()) return;
-  bool want_ts = false;
-  for (const uint32_t qi : active) want_ts |= cutoffs[qi] > min_cutoff;
-  const stream::WindowStore::Reader reader(*store_);
-  GatheredRows scratch;
-  const size_t a_end = active.size();
-  CountNodeBatch(root_.get(), &active, 0, a_end, queries, cutoffs, min_cutoff,
-                 want_kws, want_ts, reader, &scratch, counts);
 }
 
 uint64_t QuadTreeIndex::EvictNode(Node* node, stream::Timestamp cutoff,

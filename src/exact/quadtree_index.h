@@ -44,16 +44,6 @@ class QuadTreeIndex {
   /// `cutoff` are ignored and lazily evicted.
   uint64_t CountMatches(const stream::Query& q, stream::Timestamp cutoff);
 
-  /// Batched exact evaluation: one recursive pass prunes the whole batch
-  /// against node cells, and each leaf is evicted and gathered once for
-  /// all covering queries, swept with the SIMD kernels. counts[i]
-  /// receives the match count of *queries[i] under cutoffs[i],
-  /// bit-identical to CountMatches(*queries[i], cutoffs[i]) at every
-  /// kernel tier.
-  void CountMatchesBatch(const stream::Query* const* queries,
-                         const stream::Timestamp* cutoffs, size_t k,
-                         uint64_t* counts);
-
   /// Removes all rows with timestamp < cutoff and collapses empty
   /// subtrees.
   void EvictBefore(stream::Timestamp cutoff);
@@ -87,17 +77,6 @@ class QuadTreeIndex {
   uint64_t CountNode(Node* node, const stream::Query& q,
                      stream::Timestamp cutoff,
                      const stream::WindowStore::Reader& reader);
-  /// Batch recursion: `active` indexes [a_begin, a_end) of a shared stack
-  /// hold the batch queries whose ranges reach this node; children filter
-  /// by appending to the stack and truncating after the visit.
-  void CountNodeBatch(Node* node, std::vector<uint32_t>* active,
-                      size_t a_begin, size_t a_end,
-                      const stream::Query* const* queries,
-                      const stream::Timestamp* cutoffs,
-                      stream::Timestamp min_cutoff, bool want_kws,
-                      bool want_ts,
-                      const stream::WindowStore::Reader& reader,
-                      GatheredRows* scratch, uint64_t* counts);
   /// Evicts expired rows; returns the node's live row count and collapses
   /// nodes whose subtree became empty.
   uint64_t EvictNode(Node* node, stream::Timestamp cutoff,

@@ -302,7 +302,7 @@ bool ServeServer::DrainFrames(uint64_t conn_id, Connection* conn) {
     stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
     if (frames_in_counter_ != nullptr) frames_in_counter_->Increment();
 
-    const bool degraded = module_->slo_monitor().degraded();
+    const bool degraded = module_->observer().slo_monitor().degraded();
     bool ok = true;
     switch (static_cast<FrameType>(frame.type)) {
       case FrameType::kStatus: {

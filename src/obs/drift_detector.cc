@@ -1,6 +1,7 @@
 #include "obs/drift_detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "obs/event_log.h"
@@ -97,9 +98,10 @@ DriftMonitor::DriftMonitor() : DriftMonitor(Options()) {}
 
 DriftMonitor::DriftMonitor(Options options) : options_(options) {}
 
-DriftMonitor::Series* DriftMonitor::GetSeriesLocked(const std::string& name) {
-  for (auto& [existing, series] : series_) {
-    if (existing == name) return &series;
+DriftMonitor::SeriesId DriftMonitor::AddSeries(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t i = 0; i < series_.size(); ++i) {
+    if (series_[i].first == name) return static_cast<SeriesId>(i);
   }
   series_.emplace_back(
       name, Series{PageHinkley(options_.ph_delta, options_.ph_lambda,
@@ -107,23 +109,20 @@ DriftMonitor::Series* DriftMonitor::GetSeriesLocked(const std::string& name) {
                    AdwinLite(options_.adwin_confidence,
                              options_.adwin_max_window,
                              options_.adwin_min_samples)});
-  Series* series = &series_.back().second;
-  if (registry_ != nullptr) {
-    series->detections_counter = registry_->GetCounter(
-        "latest_drift_detections_total",
-        "Drift detections per monitored series (cooldown-coalesced)",
-        {{"series", name}});
-    series->active_gauge = registry_->GetGauge(
-        "latest_drift_active",
-        "1 while the series is inside its post-detection cooldown",
-        {{"series", name}});
-  }
-  return series;
+  if (registry_ != nullptr) RegisterSeriesMetricsLocked(&series_.back());
+  return static_cast<SeriesId>(series_.size() - 1);
 }
 
-void DriftMonitor::AddSeries(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  GetSeriesLocked(name);
+void DriftMonitor::RegisterSeriesMetricsLocked(
+    std::pair<std::string, Series>* entry) {
+  entry->second.detections_counter = registry_->GetCounter(
+      "latest_drift_detections_total",
+      "Drift detections per monitored series (cooldown-coalesced)",
+      {{"series", entry->first}});
+  entry->second.active_gauge = registry_->GetGauge(
+      "latest_drift_active",
+      "1 while the series is inside its post-detection cooldown",
+      {{"series", entry->first}});
 }
 
 void DriftMonitor::AttachMetrics(MetricsRegistry* registry) {
@@ -132,16 +131,7 @@ void DriftMonitor::AttachMetrics(MetricsRegistry* registry) {
   active_series_gauge_ = registry->GetGauge(
       "latest_drift_active_series",
       "Monitored series currently inside their post-detection cooldown");
-  for (auto& [name, series] : series_) {
-    series.detections_counter = registry->GetCounter(
-        "latest_drift_detections_total",
-        "Drift detections per monitored series (cooldown-coalesced)",
-        {{"series", name}});
-    series.active_gauge = registry->GetGauge(
-        "latest_drift_active",
-        "1 while the series is inside its post-detection cooldown",
-        {{"series", name}});
-  }
+  for (auto& entry : series_) RegisterSeriesMetricsLocked(&entry);
 }
 
 void DriftMonitor::AttachEventLog(EventLog* event_log) {
@@ -158,14 +148,16 @@ void DriftMonitor::ExportActiveLocked() {
   active_series_gauge_->Set(static_cast<double>(active));
 }
 
-bool DriftMonitor::Observe(const std::string& series_name, double value,
-                           int64_t timestamp, uint64_t query_count) {
+bool DriftMonitor::Observe(SeriesId id, double value, int64_t timestamp,
+                           uint64_t query_count) {
   EventLog* event_log = nullptr;
   Event event;
   bool detected = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Series* series = GetSeriesLocked(series_name);
+    assert(id < series_.size());
+    const std::string& series_name = series_[id].first;
+    Series* series = &series_[id].second;
     ++series->samples;
 
     const bool ph_fired = series->ph.Update(value);

@@ -14,7 +14,7 @@
 //     than PH on big steps but catches slow ramps PH's slack absorbs,
 //     and self-tunes to the series variance.
 //
-// DriftMonitor multiplexes named series over both detectors, emits one
+// DriftMonitor multiplexes registered series over both detectors, emits one
 // kDriftDetected event per firing (with a cooldown so a sustained shift
 // does not spam the log), exports `latest_drift_*` metrics, and exposes
 // an `active drift` gauge that DefaultLatestSloRules thresholds —
@@ -141,9 +141,13 @@ class DriftMonitor {
   DriftMonitor();
   explicit DriftMonitor(Options options);
 
-  /// Registers a series. Idempotent; Observe auto-registers unknown
-  /// names, so calling this is only needed to pre-create metrics.
-  void AddSeries(const std::string& name);
+  /// Handle of a registered series, valid for the monitor's lifetime.
+  using SeriesId = uint32_t;
+
+  /// Registers a series and returns its handle. Idempotent: a name
+  /// already registered returns its existing handle. Resolve handles
+  /// once, off the hot path; Observe then does no name lookup.
+  SeriesId AddSeries(const std::string& name);
 
   /// Exports:
   ///   latest_drift_detections_total{series=...}
@@ -155,11 +159,11 @@ class DriftMonitor {
   /// Events (kDriftDetected) are appended here on detection; optional.
   void AttachEventLog(EventLog* event_log);
 
-  /// Folds one sample into `series`. `timestamp`/`query_count` annotate
-  /// the event on detection. Returns true when a (non-coalesced) drift
-  /// was detected by this sample.
-  bool Observe(const std::string& series, double value,
-               int64_t timestamp = 0, uint64_t query_count = 0);
+  /// Folds one sample into the series `id` (from AddSeries).
+  /// `timestamp`/`query_count` annotate the event on detection. Returns
+  /// true when a (non-coalesced) drift was detected by this sample.
+  bool Observe(SeriesId id, double value, int64_t timestamp = 0,
+               uint64_t query_count = 0);
 
   /// Detections since the last drain, oldest first.
   std::vector<DriftDetection> Drain();
@@ -182,8 +186,9 @@ class DriftMonitor {
     Gauge* active_gauge = nullptr;
   };
 
-  Series* GetSeriesLocked(const std::string& name);
   void ExportActiveLocked();
+  /// Creates `entry`'s per-series metrics in registry_ (non-null).
+  void RegisterSeriesMetricsLocked(std::pair<std::string, Series>* entry);
 
   const Options options_;
   mutable std::mutex mu_;

@@ -212,7 +212,7 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
     // ingest-series detections fired during preceding OnObject calls
     // are drained here too (pending entries persist until drained).
     for (const obs::DriftDetection& detection :
-         module->drift_monitor()->Drain()) {
+         module->observer().drift_monitor()->Drain()) {
       ++outcome.drift_detections;
       for (size_t i = 0; i < injections.size(); ++i) {
         InjectionOutcome& verdict = outcome.injections[i];
@@ -230,7 +230,7 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
     }
   }
   for (const obs::DriftDetection& detection :
-       module->drift_monitor()->Drain()) {
+       module->observer().drift_monitor()->Drain()) {
     ++outcome.drift_detections;
     (void)detection;
   }
@@ -275,7 +275,7 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
   }
 
   const obs::SwitchAuditTrail::Summary audit =
-      module->audit_trail()->GetSummary();
+      module->observer().audit_trail()->GetSummary();
   outcome.audit_entries = audit.total_recorded;
   outcome.audit_resolved = audit.total_resolved;
   outcome.cumulative_regret = audit.cumulative_regret;
@@ -285,7 +285,7 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
   outcome.state_crc = persist::Crc32(state.buffer());
 
   if (!options.postmortem_dir.empty()) {
-    const auto written = module->DumpPostmortem("scenario");
+    const auto written = module->observer().DumpPostmortem("scenario");
     if (!written.ok()) return written.status();
   }
 

@@ -1,9 +1,10 @@
-// Batch-vs-scalar crosscheck: CountMatchesBatch on every index backend
-// and TrueSelectivityBatch on the evaluator must be bit-identical to the
-// per-query scalar path at every kernel tier (scalar, SSE2, AVX2),
-// including degenerate query batches (empty rects, missed grids, empty
-// keyword sets, staggered cutoffs that straddle slice boundaries). The histogram batch-insert
-// path is crosschecked via persisted-state equality.
+// Batch-vs-scalar crosscheck: CountMatchesBatch on the grid and inverted
+// index backends and TrueSelectivityBatch on the evaluator must be
+// bit-identical to the per-query scalar path at every kernel tier
+// (scalar, SSE2, AVX2), including degenerate query batches (empty rects,
+// missed grids, empty keyword sets, staggered cutoffs that straddle slice
+// boundaries). The histogram batch-insert path is crosschecked via
+// persisted-state equality.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include "exact/exact_evaluator.h"
 #include "exact/grid_index.h"
 #include "exact/inverted_index.h"
-#include "exact/quadtree_index.h"
 #include "simd/kernels.h"
 #include "stream/sliding_window.h"
 #include "stream/window_store.h"
@@ -186,41 +186,6 @@ TEST(BatchCrosscheck, GridIndexBatchMatchesScalar) {
           << "tier=" << simd::KernelTierName(tier) << " query=" << i;
     }
   });
-}
-
-TEST(BatchCrosscheck, QuadTreeBatchMatchesScalar) {
-  const auto objects = MakeUniformObjects(3000, 8, kStreamMs);
-  auto batch = MakeQueryBatch(48, 107);
-  std::vector<const Query*> qs;
-  std::vector<Timestamp> cutoffs;
-  for (auto& q : batch) {
-    qs.push_back(&q);
-    cutoffs.push_back(q.timestamp - kStreamMs / 2);
-  }
-  TierGuard guard;
-  const int highest = static_cast<int>(simd::HighestSupportedTier());
-  for (int t = 0; t <= highest; ++t) {
-    ASSERT_TRUE(simd::SetActiveTier(static_cast<simd::KernelTier>(t)));
-    WindowStore store(kSliceMs);
-    QuadTreeIndex scalar_index(&store, kBounds, 32, 10);
-    QuadTreeIndex batch_index(&store, kBounds, 32, 10);
-    for (const auto& obj : objects) {
-      const WindowStore::Row row = store.Append(obj);
-      scalar_index.Insert(row);
-      batch_index.Insert(row);
-    }
-    std::vector<uint64_t> counts(qs.size(), ~uint64_t{0});
-    batch_index.CountMatchesBatch(qs.data(), cutoffs.data(), qs.size(),
-                                  counts.data());
-    for (size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(counts[i], scalar_index.CountMatches(*qs[i], cutoffs[i]))
-          << "tier=" << t << " query=" << i;
-    }
-    // Batch eviction stops at the batch-minimum cutoff, so the batch
-    // index legitimately retains more live rows than the progressively
-    // evicted scalar one; only the counts must agree.
-    EXPECT_GE(batch_index.size(), scalar_index.size());
-  }
 }
 
 TEST(BatchCrosscheck, InvertedIndexBatchMatchesScalar) {

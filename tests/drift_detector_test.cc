@@ -145,15 +145,16 @@ TEST(DriftMonitorTest, StepEmitsEventAndMetrics) {
   DriftMonitor monitor;
   monitor.AttachMetrics(&registry);
   monitor.AttachEventLog(&events);
+  const DriftMonitor::SeriesId err = monitor.AddSeries("err");
 
   util::Rng rng(41);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_FALSE(monitor.Observe("err", Noisy(&rng, 0.1), /*timestamp=*/i));
+    ASSERT_FALSE(monitor.Observe(err, Noisy(&rng, 0.1), /*timestamp=*/i));
   }
   bool fired = false;
   int64_t now = 200;
   for (int i = 0; i < 64 && !fired; ++i, ++now) {
-    fired = monitor.Observe("err", Noisy(&rng, 0.7), now, /*query_count=*/
+    fired = monitor.Observe(err, Noisy(&rng, 0.7), now, /*query_count=*/
                             static_cast<uint64_t>(now));
   }
   ASSERT_TRUE(fired);
@@ -192,18 +193,19 @@ TEST(DriftMonitorTest, CooldownCoalescesAndDecays) {
   DriftMonitor monitor(options);
   monitor.AttachMetrics(&registry);
   monitor.AttachEventLog(&events);
+  const DriftMonitor::SeriesId s = monitor.AddSeries("s");
 
   util::Rng rng(43);
-  for (int i = 0; i < 200; ++i) monitor.Observe("s", Noisy(&rng, 0.1));
+  for (int i = 0; i < 200; ++i) monitor.Observe(s, Noisy(&rng, 0.1));
   bool fired = false;
   for (int i = 0; i < 64 && !fired; ++i) {
-    fired = monitor.Observe("s", Noisy(&rng, 0.8));
+    fired = monitor.Observe(s, Noisy(&rng, 0.8));
   }
   ASSERT_TRUE(fired);
   // The shift persists: further samples at the new level are coalesced
   // into the same episode, not new detections.
   for (int i = 0; i < 16; ++i) {
-    EXPECT_FALSE(monitor.Observe("s", Noisy(&rng, 0.8)));
+    EXPECT_FALSE(monitor.Observe(s, Noisy(&rng, 0.8)));
   }
   EXPECT_EQ(monitor.detections("s"), 1u);
   EXPECT_EQ(events.SnapshotOfType(EventType::kDriftDetected).size(), 1u);
@@ -212,7 +214,7 @@ TEST(DriftMonitorTest, CooldownCoalescesAndDecays) {
   // Once the detectors stop firing, the cooldown drains and the series
   // re-arms: the active gauge self-recovers without manual reset.
   for (int i = 0; i < 200 && monitor.active_series() != 0; ++i) {
-    monitor.Observe("s", Noisy(&rng, 0.8));
+    monitor.Observe(s, Noisy(&rng, 0.8));
   }
   EXPECT_EQ(monitor.active_series(), 0u);
   const Gauge* active_total = registry.FindGauge("latest_drift_active_series");
@@ -222,15 +224,18 @@ TEST(DriftMonitorTest, CooldownCoalescesAndDecays) {
 
 TEST(DriftMonitorTest, SeriesAreIndependent) {
   DriftMonitor monitor;
+  const DriftMonitor::SeriesId stable = monitor.AddSeries("stable");
+  const DriftMonitor::SeriesId shifting = monitor.AddSeries("shifting");
+  EXPECT_EQ(monitor.AddSeries("stable"), stable);  // Idempotent.
   util::Rng rng(47);
   for (int i = 0; i < 200; ++i) {
-    monitor.Observe("stable", Noisy(&rng, 0.5));
-    monitor.Observe("shifting", Noisy(&rng, 0.1));
+    monitor.Observe(stable, Noisy(&rng, 0.5));
+    monitor.Observe(shifting, Noisy(&rng, 0.1));
   }
   bool fired = false;
   for (int i = 0; i < 64 && !fired; ++i) {
-    monitor.Observe("stable", Noisy(&rng, 0.5));
-    fired = monitor.Observe("shifting", Noisy(&rng, 0.9));
+    monitor.Observe(stable, Noisy(&rng, 0.5));
+    fired = monitor.Observe(shifting, Noisy(&rng, 0.9));
   }
   ASSERT_TRUE(fired);
   EXPECT_EQ(monitor.detections("shifting"), 1u);
@@ -241,12 +246,12 @@ TEST(DriftMonitorTest, StationaryNeverFiresAcrossSeries) {
   MetricsRegistry registry;
   DriftMonitor monitor;
   monitor.AttachMetrics(&registry);
-  monitor.AddSeries("a");
-  monitor.AddSeries("b");
+  const DriftMonitor::SeriesId a = monitor.AddSeries("a");
+  const DriftMonitor::SeriesId b = monitor.AddSeries("b");
   util::Rng rng(53);
   for (int i = 0; i < 3000; ++i) {
-    ASSERT_FALSE(monitor.Observe("a", Noisy(&rng, 0.3)));
-    ASSERT_FALSE(monitor.Observe("b", Noisy(&rng, 0.6, 0.02)));
+    ASSERT_FALSE(monitor.Observe(a, Noisy(&rng, 0.3)));
+    ASSERT_FALSE(monitor.Observe(b, Noisy(&rng, 0.6, 0.02)));
   }
   EXPECT_EQ(monitor.detections("a"), 0u);
   EXPECT_EQ(monitor.detections("b"), 0u);
@@ -257,14 +262,14 @@ TEST(DriftMonitorTest, StationaryNeverFiresAcrossSeries) {
 // Scenario-driven detection-delay bounds
 //
 // The adversarial scenario library (src/workload/scenario.h) generates
-// the same per-slice ingest-feature series the module folds into its
-// drift monitor (core/latest_module.cc slice rotation): vocabulary
-// churn = new/distinct keywords per sealed slice ("new" = absent from
-// the whole preceding window) and centroid displacement against a
-// slowly-following EWMA centroid. Replaying those series here pins the
-// detector configuration end to end: each injected drift must be
-// detected within a bounded number of slices of its onset, and series
-// the scenario does not touch must stay silent.
+// the same per-slice ingest-feature series the module observer folds
+// into its drift monitor (core/module_observer.cc slice rotation):
+// vocabulary churn = new/distinct keywords per sealed slice ("new" =
+// absent from the whole preceding window) and centroid displacement
+// against a slowly-following EWMA centroid. Replaying those series here
+// pins the detector configuration end to end: each injected drift must
+// be detected within a bounded number of slices of its onset, and
+// series the scenario does not touch must stay silent.
 // ---------------------------------------------------------------------
 
 struct SliceDetections {
@@ -287,6 +292,10 @@ SliceDetections ReplayIngestFeatures(const workload::ScenarioSpec& spec) {
   DriftMonitor::Options options;
   options.ph_lambda = 0.35;
   DriftMonitor monitor(options);
+  const DriftMonitor::SeriesId vocab_series =
+      monitor.AddSeries("ingest_vocab_churn");
+  const DriftMonitor::SeriesId centroid_series =
+      monitor.AddSeries("ingest_centroid");
 
   workload::ScenarioStream stream(spec);
   std::unordered_map<stream::KeywordId, uint64_t> vocab_last_slice;
@@ -304,7 +313,7 @@ SliceDetections ReplayIngestFeatures(const workload::ScenarioSpec& spec) {
             distinct > 0
                 ? static_cast<double>(fresh) / static_cast<double>(distinct)
                 : 0.0;
-        monitor.Observe("ingest_vocab_churn", churn, current_slice);
+        monitor.Observe(vocab_series, churn, current_slice);
         const double cx = sum_x / static_cast<double>(objects);
         const double cy = sum_y / static_cast<double>(objects);
         if (!centroid_initialized) {
@@ -314,7 +323,7 @@ SliceDetections ReplayIngestFeatures(const workload::ScenarioSpec& spec) {
         }
         const double dx = (cx - centroid_x) / spec.bounds.Width();
         const double dy = (cy - centroid_y) / spec.bounds.Height();
-        monitor.Observe("ingest_centroid", std::sqrt(dx * dx + dy * dy),
+        monitor.Observe(centroid_series, std::sqrt(dx * dx + dy * dy),
                         current_slice);
         centroid_x += 0.2 * (cx - centroid_x);
         centroid_y += 0.2 * (cy - centroid_y);

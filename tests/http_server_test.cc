@@ -146,8 +146,8 @@ TEST(HttpServerTest, ConcurrentScrapesDuringLiveIngest) {
   auto created = core::LatestModule::Create(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   auto module = std::move(created).value();
-  ASSERT_NE(module->introspection(), nullptr);
-  const uint16_t port = module->introspection()->port();
+  ASSERT_NE(module->observer().introspection(), nullptr);
+  const uint16_t port = module->observer().introspection()->port();
   ASSERT_NE(port, 0);
 
   std::atomic<bool> stop{false};

@@ -7,6 +7,7 @@
 // a bundle that parses back.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "tests/test_stream.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/serialization.h"
 
 namespace latest {
 namespace {
@@ -468,9 +470,9 @@ TEST(QualityObsAcceptanceTest, WorkloadFlipIsDetectedExplainedAndDumpable) {
   // (2) The switch audit explains at least one switch with a full
   // decision record: features, scores, and (once resolved) the
   // counterfactual best.
-  ASSERT_NE(module->audit_trail(), nullptr);
+  ASSERT_NE(module->observer().audit_trail(), nullptr);
   const std::vector<SwitchAuditEntry> entries =
-      module->audit_trail()->Snapshot();
+      module->observer().audit_trail()->Snapshot();
   ASSERT_FALSE(entries.empty());
   const SwitchAuditEntry& audited = entries.front();
   EXPECT_FALSE(audited.trigger.empty());
@@ -484,14 +486,14 @@ TEST(QualityObsAcceptanceTest, WorkloadFlipIsDetectedExplainedAndDumpable) {
   EXPECT_TRUE(any_resolved);
 
   // (3) Error accounting saw every shadow-measured kind.
-  ASSERT_NE(module->error_accountant(), nullptr);
-  EXPECT_GE(module->error_accountant()->AllStats().size(), 2u);
+  ASSERT_NE(module->observer().error_accountant(), nullptr);
+  EXPECT_GE(module->observer().error_accountant()->AllStats().size(), 2u);
 
   // (4) A postmortem bundle dumps and parses, and carries the drift
   // events and audit entries.
   const std::string dir = ::testing::TempDir() + "/quality_obs_acceptance";
   const util::Result<std::string> path =
-      module->DumpPostmortem("manual", dir);
+      module->observer().DumpPostmortem("manual", dir);
   ASSERT_TRUE(path.ok()) << path.status().ToString();
   std::string contents;
   ASSERT_TRUE(persist::ReadFile(path.value(), &contents).ok());
@@ -525,12 +527,100 @@ TEST(QualityObsConfigTest, DisabledQualityObsMeansNullComponents) {
   auto created = core::LatestModule::Create(config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   core::LatestModule* module = created.value().get();
-  EXPECT_EQ(module->error_accountant(), nullptr);
-  EXPECT_EQ(module->drift_monitor(), nullptr);
-  EXPECT_EQ(module->audit_trail(), nullptr);
-  EXPECT_EQ(module->flight_recorder(), nullptr);
-  const util::Result<std::string> dump = module->DumpPostmortem("manual");
+  EXPECT_EQ(module->observer().error_accountant(), nullptr);
+  EXPECT_EQ(module->observer().drift_monitor(), nullptr);
+  EXPECT_EQ(module->observer().audit_trail(), nullptr);
+  EXPECT_EQ(module->observer().flight_recorder(), nullptr);
+  EXPECT_EQ(module->observer().introspection(), nullptr);
+  const util::Result<std::string> dump =
+      module->observer().DumpPostmortem("manual");
   EXPECT_FALSE(dump.ok());
+}
+
+TEST(QualityObsConfigTest, ObservabilityNeverChangesTheLifecycle) {
+  // One event stream — a mid-stream workload flip, queries answered both
+  // singly and in batches — through three modules that differ only in
+  // what observes them. Outcomes and the deterministic snapshot must be
+  // identical: the observer reads module state and never writes it.
+  core::LatestConfig base;
+  base.bounds = testing_support::kTestBounds;
+  base.window.window_length_ms = 1000;
+  base.window.num_slices = 10;
+  base.pretrain_queries = 40;
+  base.monitor_window = 16;
+  base.min_queries_between_switches = 16;
+  base.estimator.reservoir_capacity = 500;
+  base.alpha = 0.0;
+  base.seed = 5;
+  core::LatestConfig quiet = base;
+  quiet.quality.enabled = false;
+  core::LatestConfig served = base;
+  served.enable_introspection = true;
+  served.introspection_port = 0;
+  served.slo_tick_ms = 5;
+  std::vector<std::unique_ptr<core::LatestModule>> modules;
+  for (const core::LatestConfig& config : {base, quiet, served}) {
+    auto created = core::LatestModule::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    modules.push_back(std::move(created).value());
+  }
+  ASSERT_NE(modules[2]->observer().introspection(), nullptr);
+  const uint16_t port = modules[2]->observer().introspection()->port();
+
+  constexpr uint64_t kObjects = 12000;
+  util::Rng object_rng(13);
+  util::Rng query_rng(99);
+  uint64_t switches = 0;
+  for (uint64_t i = 0; i < kObjects; ++i) {
+    const bool flipped = i >= kObjects / 2;
+    const stream::GeoTextObject obj =
+        FlippableObject(i, kObjects, &object_rng, flipped);
+    for (auto& module : modules) module->OnObject(obj);
+    if (i % 10 != 0) continue;
+    // Every fourth query tick is a batch of 4; the rest go through OnQuery.
+    std::vector<stream::Query> batch(i % 40 == 0 ? 4 : 1);
+    for (stream::Query& q : batch) {
+      q = FlippableQuery(&query_rng, flipped);
+      q.timestamp = obj.timestamp;
+    }
+    std::vector<std::vector<core::QueryOutcome>> outcomes(
+        modules.size(), std::vector<core::QueryOutcome>(batch.size()));
+    for (size_t m = 0; m < modules.size(); ++m) {
+      if (batch.size() == 1) {
+        outcomes[m][0] = modules[m]->OnQuery(batch[0]);
+      } else {
+        modules[m]->OnQueryBatch(batch.data(), batch.size(),
+                                 outcomes[m].data());
+      }
+    }
+    for (size_t b = 0; b < batch.size(); ++b) {
+      const core::QueryOutcome& want = outcomes[0][b];
+      switches += want.switched;
+      for (size_t m = 1; m < modules.size(); ++m) {
+        const core::QueryOutcome& got = outcomes[m][b];
+        EXPECT_EQ(got.estimate, want.estimate) << "module " << m;
+        EXPECT_EQ(got.actual, want.actual) << "module " << m;
+        EXPECT_EQ(got.phase, want.phase) << "module " << m;
+        EXPECT_EQ(got.active, want.active) << "module " << m;
+        EXPECT_EQ(got.switched, want.switched) << "module " << m;
+      }
+    }
+    // Scrape the observer-owned pages while the stream runs.
+    if (i % 3000 == 0) {
+      EXPECT_EQ(testing_support::HttpGet(port, "/switchz").status, 200);
+      EXPECT_EQ(testing_support::HttpGet(port, "/statusz").status, 200);
+    }
+  }
+  EXPECT_GT(switches, 0u);
+  EXPECT_EQ(modules[0]->phase(), core::Phase::kIncremental);
+
+  util::BinaryWriter want;
+  modules[0]->SaveDeterministicState(&want);
+  for (size_t m = 1; m < modules.size(); ++m) {
+    util::BinaryWriter got;
+    modules[m]->SaveDeterministicState(&got);
+    EXPECT_EQ(got.buffer(), want.buffer()) << "module " << m;
+  }
 }
 
 TEST(QualityObsConfigTest, FailedAutomaticPostmortemIsLogged) {
@@ -564,7 +654,7 @@ TEST(QualityObsConfigTest, FailedAutomaticPostmortemIsLogged) {
     module->OnQuery(q);
   }
   ASSERT_GT(module->queries_answered(), 1u);
-  EXPECT_TRUE(module->slo_monitor().degraded());
+  EXPECT_TRUE(module->observer().slo_monitor().degraded());
 
   const obs::EventLog& events = module->telemetry().events();
   const std::vector<obs::Event> failed =

@@ -673,8 +673,8 @@ TEST(ServeE2eTest, ConcurrentIntrospectionScrapesDuringLoad) {
   module_config.enable_introspection = true;
   module_config.introspection_port = 0;  // Ephemeral.
   auto module = MustCreate(module_config);
-  ASSERT_NE(module->introspection(), nullptr);
-  const uint16_t http_port = module->introspection()->port();
+  ASSERT_NE(module->observer().introspection(), nullptr);
+  const uint16_t http_port = module->observer().introspection()->port();
 
   ServeServerConfig config;
   config.batcher.tick_us = 500;

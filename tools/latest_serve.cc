@@ -6,10 +6,17 @@
 // kernels see real batches), and SLO-driven load shedding (RETRY_LATER
 // with backoff hints; QUERY sheds before INGEST).
 //
+// The module runs in production mode: only the active estimator and a
+// pre-filling candidate are maintained. The paper's evaluation mode
+// (every estimator measured on every query) stays with latest_stream_run
+// and the benches that reproduce the paper's figures.
+//
 // Durability: --checkpoint-dir DIR recovers the newest snapshot + WAL
 // tail at boot (fresh module when the directory is empty), write-ahead
 // logs every ingest, and syncs at shutdown. Queries bypass the WAL —
-// they mutate only learned state, which the next snapshot captures.
+// they mutate only learned state, which the next snapshot captures. A
+// failed WAL append or sync is reported on stderr, counted as
+// `wal_errors` in RESULT_JSON, and makes the daemon exit non-zero.
 //
 // Introspection: --metrics-port P serves /metrics, /healthz, /statusz
 // etc. from the embedded HTTP plane, including the latest_serve_*
@@ -123,7 +130,8 @@ Options ParseArgs(int argc, char** argv) {
 }
 
 /// Module config matching the driver tools' serving shape: the scenario
-/// catalog's spatial bounds, deterministic alpha = 0 lifecycle.
+/// catalog's spatial bounds, deterministic alpha = 0 lifecycle,
+/// production mode (no shadow estimators).
 LatestConfig MakeConfig(const Options& options) {
   auto entry = latest::workload::MakeScenario("baseline");
   if (!entry.ok()) Die(entry.status().ToString());
@@ -136,7 +144,7 @@ LatestConfig MakeConfig(const Options& options) {
   config.min_queries_between_switches = 16;
   config.estimator.reservoir_capacity = 500;
   config.default_estimator = latest::estimators::EstimatorKind::kH4096;
-  config.maintain_shadow_estimators = true;
+  config.maintain_shadow_estimators = false;
   config.alpha = 0.0;
   config.seed = options.seed;
   if (options.metrics_port >= 0) {
@@ -197,12 +205,12 @@ int main(int argc, char** argv) {
 
   // Arm the serve-plane SLO rules next to the module's defaults.
   for (const latest::obs::SloRule& rule : latest::obs::ServeSloRules()) {
-    module->slo_monitor().AddRule(rule);
+    module->observer().slo_monitor().AddRule(rule);
   }
 
   // Postmortem bundles carry the latest folded CPU profile.
-  if (profiler != nullptr && module->flight_recorder() != nullptr) {
-    module->flight_recorder()->AttachProfiler(profiler.get());
+  if (profiler != nullptr && module->observer().flight_recorder() != nullptr) {
+    module->observer().flight_recorder()->AttachProfiler(profiler.get());
   }
 
   std::unique_ptr<latest::persist::CheckpointManager> manager;
@@ -225,11 +233,22 @@ int main(int argc, char** argv) {
   serve_config.batcher.degraded_divisor = options.degraded_divisor;
   serve_config.max_connections = options.max_connections;
 
-  // Route ingest through the WAL when durability is on.
+  // Route ingest through the WAL when durability is on. The hook runs
+  // on the batch thread; `wal_errors` is read only after server.Stop()
+  // has joined it.
+  uint64_t wal_errors = 0;
+  const auto check_wal = [&wal_errors](const char* what,
+                                       const latest::util::Status& status) {
+    if (!status.ok() && wal_errors++ == 0) {
+      std::fprintf(stderr, "latest_serve: WAL %s failed: %s\n", what,
+                   status.ToString().c_str());
+    }
+  };
   std::function<void(const latest::stream::GeoTextObject&)> ingest_hook;
   if (manager != nullptr) {
-    ingest_hook = [&manager](const latest::stream::GeoTextObject& obj) {
-      (void)manager->OnObject(obj);
+    ingest_hook = [&manager, &check_wal](
+                      const latest::stream::GeoTextObject& obj) {
+      check_wal("append", manager->OnObject(obj));
     };
   }
   latest::net::ServeServer server(serve_config, module.get(),
@@ -243,9 +262,9 @@ int main(int argc, char** argv) {
 
   std::printf("SERVE_READY port=%u\n", server.port());
   std::fflush(stdout);
-  if (module->introspection() != nullptr) {
+  if (module->observer().introspection() != nullptr) {
     std::fprintf(stderr, "metrics on 127.0.0.1:%u\n",
-                 module->introspection()->port());
+                 module->observer().introspection()->port());
   }
 
   const auto started = std::chrono::steady_clock::now();
@@ -259,7 +278,7 @@ int main(int argc, char** argv) {
   }
 
   server.Stop();
-  if (manager != nullptr) (void)manager->Sync();
+  if (manager != nullptr) check_wal("sync", manager->Sync());
 
   // Tear the tracing globals down before their owners go out of scope.
   if (latest::obs::GetProfiler() == profiler.get()) {
@@ -280,9 +299,10 @@ int main(int argc, char** argv) {
       .U64("protocol_errors", stats.protocol_errors.load())
       .U64("batches", stats.batches.load())
       .U64("replayed", replayed)
+      .U64("wal_errors", wal_errors)
       .Str("final_phase", latest::core::PhaseName(module->phase()))
       .Str("active",
            latest::estimators::EstimatorKindName(module->active_kind()))
       .Print();
-  return 0;
+  return wal_errors == 0 ? 0 : 1;
 }

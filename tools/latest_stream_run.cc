@@ -149,7 +149,7 @@ void FatalSignalHandler(int signo) {
   if (g_in_signal_handler == 0) {
     g_in_signal_handler = 1;
     if (g_signal_module != nullptr) {
-      (void)g_signal_module->DumpPostmortem("signal");
+      (void)g_signal_module->observer().DumpPostmortem("signal");
     }
   }
   ::signal(signo, SIG_DFL);
@@ -252,9 +252,9 @@ int main(int argc, char** argv) {
     if (!created.ok()) Die(created.status().ToString());
     module = std::move(created).value();
   }
-  if (module->introspection() != nullptr) {
+  if (module->observer().introspection() != nullptr) {
     std::fprintf(stderr, "introspection server on http://127.0.0.1:%u\n",
-                 module->introspection()->port());
+                 module->observer().introspection()->port());
   }
   if (!options.postmortem_dir.empty()) {
     InstallFatalSignalHandlers(module.get());
@@ -349,13 +349,14 @@ int main(int argc, char** argv) {
           .SnapshotOfType(latest::obs::EventType::kDriftDetected)
           .size();
   uint64_t audit_entries = 0;
-  if (module->audit_trail() != nullptr) {
-    audit_entries = module->audit_trail()->GetSummary().total_recorded;
+  if (module->observer().audit_trail() != nullptr) {
+    audit_entries =
+        module->observer().audit_trail()->GetSummary().total_recorded;
   }
-  const bool degraded = module->slo_monitor().degraded();
+  const bool degraded = module->observer().slo_monitor().degraded();
   if (!options.postmortem_dir.empty()) {
     g_signal_module = nullptr;  // Shutdown is no longer a crash window.
-    const auto written = module->DumpPostmortem("shutdown");
+    const auto written = module->observer().DumpPostmortem("shutdown");
     if (!written.ok()) Die(written.status().ToString());
     std::fprintf(stderr, "postmortem bundle: %s\n", written.value().c_str());
   }
