@@ -77,26 +77,6 @@ METRIC_SPECS = {
     "batch_spatial_speedup": ("higher", 0.12),
     "hist_insert_scalar_ops": ("higher", 0.35),
     "hist_insert_batch_ops": ("higher", 0.35),
-    # Serve-plane gates (bench_serve_latency). Socket + scheduler noise
-    # on shared runners is worse than CPU-bound noise, so the rate bands
-    # are wide; the batched/unbatched ratio comes from the same machine
-    # in the same run and gates the admission-batching claim itself —
-    # below 1.0 the tick batcher would be pure overhead. Latency
-    # percentiles stay informational (open-loop flood measurements).
-    "conns1_qps": ("higher", 0.40),
-    "conns16_qps": ("higher", 0.40),
-    "conns64_qps": ("higher", 0.40),
-    "serve_batched_qps": ("higher", 0.40),
-    "serve_unbatched_qps": ("higher", 0.40),
-    "serve_batch_speedup": ("higher", 0.20),
-    # Server-attributed admission queue wait (query class, 16 conns,
-    # tracing disabled): the component of end-to-end latency the tick
-    # batcher controls. An open-loop flood measurement on a shared
-    # runner, so the band is the widest in the file — it exists to catch
-    # an always-on tracing cost creeping into the admission path (a
-    # many-fold blowup under flood), not scheduler jitter, which alone
-    # swings this tail 2x between runs on the same machine.
-    "queue_wait_p99_ms": ("lower", 1.50),
 }
 
 # Context fields that define the workload shape: when these differ from

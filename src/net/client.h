@@ -1,6 +1,6 @@
 // Blocking client for the serve plane: one connection, framed send /
-// receive. Used by the loadgen, the e2e tests, and the latency bench;
-// production clients would speak the same five-byte-header frames.
+// receive. Used by the loadgen, the e2e tests, and perfbench; production
+// clients would speak the same five-byte-header frames.
 
 #ifndef LATEST_NET_CLIENT_H_
 #define LATEST_NET_CLIENT_H_
@@ -58,8 +58,6 @@ class ServeClient {
   /// Blocks for the next complete response frame. Fails on timeout,
   /// connection loss, or a malformed frame from the server.
   util::Result<ServeResponse> ReadResponse();
-
-  int fd() const { return fd_.get(); }
 
  private:
   explicit ServeClient(Fd fd) : fd_(std::move(fd)) {}

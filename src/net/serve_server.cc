@@ -33,8 +33,7 @@ ServeServer::ServeServer(
     : config_(config),
       module_(module),
       ingest_hook_(std::move(ingest_hook)),
-      batcher_(config.batcher),
-      request_trace_(config.trace_recent_capacity, config.trace_top_k) {}
+      batcher_(config.batcher) {}
 
 ServeServer::~ServeServer() { Stop(); }
 

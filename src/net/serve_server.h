@@ -54,9 +54,6 @@ struct ServeServerConfig {
   /// simulates a pre-tracing server: HELLO takes the unknown-frame
   /// path (ERROR + close) and clients fall back to untraced frames.
   bool accept_hello = true;
-  /// Request-trace store sizing (recent ring / slowest-K board).
-  size_t trace_recent_capacity = 256;
-  size_t trace_top_k = 32;
 };
 
 /// Counters mirrored for STATUS frames and metrics (single writer each;

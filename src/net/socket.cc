@@ -110,9 +110,13 @@ util::Status SelfPipe::Open() {
   // Non-blocking on both ends: Drain() consumes everything without a
   // final blocking read, and Notify() on a full pipe returns EAGAIN
   // instead of blocking the notifier (the loop is already scheduled to
-  // wake in that case).
-  (void)SetNonBlocking(read_end_.get());
-  (void)SetNonBlocking(write_end_.get());
+  // wake in that case). A pipe that cannot be made so is not opened.
+  for (const int fd : fds) {
+    if (util::Status status = SetNonBlocking(fd); !status.ok()) {
+      Close();
+      return status;
+    }
+  }
   return util::Status::Ok();
 }
 

@@ -80,12 +80,13 @@ class SelfPipe {
   SelfPipe(const SelfPipe&) = delete;
   SelfPipe& operator=(const SelfPipe&) = delete;
 
-  /// Creates the pipe (non-blocking read end). Idempotent failure: an
-  /// unopened pipe has read_fd() == -1.
+  /// Creates the pipe, both ends non-blocking. On failure nothing stays
+  /// open: read_fd() == -1.
   util::Status Open();
   void Close();
 
   int read_fd() const { return read_end_.get(); }
+  int write_fd() const { return write_end_.get(); }
   bool valid() const { return read_end_.valid(); }
 
   /// Wakes the poll loop. Safe from any thread; a full pipe is fine

@@ -17,22 +17,20 @@ RequestTraceStore* GetRequestTraceStore() {
   return g_request_trace.load(std::memory_order_acquire);
 }
 
-RequestTraceStore::RequestTraceStore(size_t recent_capacity, size_t top_k)
-    : recent_capacity_(std::max<size_t>(1, recent_capacity)),
-      top_k_(std::max<size_t>(1, top_k)) {
-  ring_.reserve(recent_capacity_);
-  slowest_.reserve(top_k_ + 1);
+RequestTraceStore::RequestTraceStore() {
+  ring_.reserve(kRecentCapacity);
+  slowest_.reserve(kTopK + 1);
 }
 
 void RequestTraceStore::Append(Record record) {
   std::lock_guard<std::mutex> lock(mu_);
   ++total_;
-  if (ring_.size() < recent_capacity_) {
+  if (ring_.size() < kRecentCapacity) {
     ring_.push_back(std::move(record));
   } else {
     ring_[next_] = std::move(record);
   }
-  next_ = (next_ + 1) % recent_capacity_;
+  next_ = (next_ + 1) % kRecentCapacity;
 }
 
 void RequestTraceStore::CompleteFlush(uint64_t batch_seq,
@@ -49,7 +47,7 @@ void RequestTraceStore::CompleteFlush(uint64_t batch_seq,
     if (completed != nullptr) completed->push_back(record);
     // Promote onto the slowest-K board (insertion sort: the board is
     // tiny and mostly already sorted).
-    if (slowest_.size() < top_k_ ||
+    if (slowest_.size() < kTopK ||
         record.total_ns > slowest_.back().total_ns) {
       const auto at = std::upper_bound(
           slowest_.begin(), slowest_.end(), record,
@@ -57,7 +55,7 @@ void RequestTraceStore::CompleteFlush(uint64_t batch_seq,
             return a.total_ns > b.total_ns;
           });
       slowest_.insert(at, record);
-      if (slowest_.size() > top_k_) slowest_.pop_back();
+      if (slowest_.size() > kTopK) slowest_.pop_back();
     }
   }
 }
@@ -66,7 +64,7 @@ std::vector<RequestTraceStore::Record> RequestTraceStore::Recent() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Record> out;
   out.reserve(ring_.size());
-  if (ring_.size() < recent_capacity_) {
+  if (ring_.size() < kRecentCapacity) {
     out = ring_;
   } else {
     out.insert(out.end(), ring_.begin() + static_cast<ptrdiff_t>(next_),

@@ -73,8 +73,11 @@ class RequestTraceStore {
     bool flushed = false;
   };
 
-  explicit RequestTraceStore(size_t recent_capacity = 256,
-                             size_t top_k = 32);
+  /// Records kept in the recent ring, and on the slowest board.
+  static constexpr size_t kRecentCapacity = 256;
+  static constexpr size_t kTopK = 32;
+
+  RequestTraceStore();
   RequestTraceStore(const RequestTraceStore&) = delete;
   RequestTraceStore& operator=(const RequestTraceStore&) = delete;
 
@@ -100,13 +103,7 @@ class RequestTraceStore {
   /// Records appended over the store's lifetime.
   uint64_t total_appended() const;
 
-  size_t recent_capacity() const { return recent_capacity_; }
-  size_t top_k() const { return top_k_; }
-
  private:
-  const size_t recent_capacity_;
-  const size_t top_k_;
-
   mutable std::mutex mu_;
   std::vector<Record> ring_;
   size_t next_ = 0;

@@ -736,8 +736,9 @@ HttpResponse IntrospectionServer::HandleRequestz(
   AppendF(&page,
           "requests traced: %" PRIu64 " (recent ring %zu/%zu, slowest "
           "board %zu/%zu)\n",
-          store->total_appended(), recent.size(), store->recent_capacity(),
-          slowest.size(), store->top_k());
+          store->total_appended(), recent.size(),
+          RequestTraceStore::kRecentCapacity, slowest.size(),
+          RequestTraceStore::kTopK);
   page +=
       "stages: queue_wait -> batch_form -> module -> serialize -> flush "
       "(contiguous; sums to total)\n";

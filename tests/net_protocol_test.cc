@@ -3,6 +3,11 @@
 // the hostile-input surface — truncated, oversized, trailing-byte, and
 // random-garbage payloads must be rejected without UB (this test runs
 // under TSan in CI; the decoders are also bounds-checked by design).
+// Also the SelfPipe that wakes the serve IO loop and the HTTP accept
+// loop: neither of its ends may ever block its caller.
+
+#include <fcntl.h>
+#include <poll.h>
 
 #include <cstdint>
 #include <string>
@@ -12,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "net/protocol.h"
+#include "net/socket.h"
 #include "util/rng.h"
 #include "util/serialization.h"
 
@@ -493,6 +499,34 @@ TEST(NetProtocolTest, HelloRoundTripsAndReaderAcceptsHandshakeTypes) {
   reader.Append(junk.data(), junk.size());
   FrameReader::Frame frame;
   EXPECT_EQ(reader.Next(&frame), FrameReader::Outcome::kProtocolError);
+}
+
+TEST(SelfPipeTest, BothEndsNonBlockingAndNeverBlockTheCaller) {
+  SelfPipe pipe;
+  ASSERT_TRUE(pipe.Open().ok());
+  ASSERT_TRUE(pipe.valid());
+  for (const int fd : {pipe.read_fd(), pipe.write_fd()}) {
+    const int flags = ::fcntl(fd, F_GETFL);
+    ASSERT_GE(flags, 0);
+    ASSERT_NE(flags & O_NONBLOCK, 0) << "fd " << fd;
+  }
+
+  // Drain() with no wake pending returns instead of waiting for a byte.
+  pipe.Drain();
+
+  // More wakes than the pipe holds (64 KiB on Linux): the surplus is
+  // dropped, not waited on.
+  for (int i = 0; i < 200 * 1024; ++i) pipe.Notify();
+  pollfd readable{pipe.read_fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&readable, 1, 0), 1);
+
+  // One Drain() consumes every pending wake.
+  pipe.Drain();
+  readable.revents = 0;
+  EXPECT_EQ(::poll(&readable, 1, 0), 0);
+
+  pipe.Close();
+  EXPECT_FALSE(pipe.valid());
 }
 
 }  // namespace

@@ -1,125 +1,136 @@
-// latest_loadgen: multi-connection load generator for latest_serve.
+// latest_loadgen: smoke-test load client for latest_serve.
 //
-// Replays a scenario-catalog stream (including the flip/burst drift
-// shapes) against a running serve daemon over N concurrent loopback
-// connections with open-loop pacing, and reports qps + latency
-// percentiles + shed/error counts as one RESULT_JSON line. Latencies
-// are reported per request class — QUERY round-trips and INGEST acks
-// behave differently under shed pressure, so one merged distribution
-// hides the tail that matters.
+// Floods a running serve daemon with a scenario-catalog stream (including
+// the flip/burst drift shapes) over N loopback connections, up to 128
+// unanswered requests on each, and prints one RESULT_JSON line of counts:
+// requests sent and answered per class, `shed` (RETRY_LATER), `errors`
+// (transport failures plus unanswered requests), `protocol_errors` and
+// `qps` (answered queries per wall second). It reports no latency: behind
+// a full window a client-side time measures the window, not the server
+// (perfbench/NOTES.md). Latency is `python3 perfbench/run.py`'s job, and
+// the daemon's latest_serve_* histograms on /metrics.
 //
-// Tracing: by default every connection negotiates the trace-context
-// wire extension (HELLO handshake; old servers fall back to untraced
-// transparently) and stamps a deterministic trace id on each request,
-// sampling every 16th for span capture. `--no-trace` sends the
-// pre-extension wire format; `--trace-sample-every N` tunes sampling
-// (0 = stamp ids but never sample).
+// Every connection negotiates trace contexts (HELLO; old servers fall back
+// to untraced frames), uses each request id as its trace id, and samples
+// every 16th request.
 //
-// Server attribution: `--metrics-port P` scrapes the daemon's /vars
-// JSON after the run and folds the server-measured queue-wait
-// percentiles (latest_serve_queue_wait_ms, per class) into the
-// RESULT_JSON line, so one line shows client-observed latency next to
-// the server-side component it decomposes into.
-//
-// Exit codes: 0 = run completed (shedding is a *result*, not an error),
+// Exit codes: 0 = run completed (shedding is a result, not an error),
 // 1 = flag error or no connection could be established.
 //
 // Usage:
 //   latest_loadgen --port P [--connections N] [--scenario NAME]
-//                  [--objects N] [--duration MS] [--seed S]
-//                  [--speedup X] [--max-outstanding N] [--list]
-//                  [--no-trace] [--trace-sample-every N]
-//                  [--metrics-port P]
+//                  [--objects N] [--duration MS] [--list]
 
-#include <unistd.h>
-
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <string>
+#include <thread>
+#include <vector>
 
-#include "net/loadgen.h"
-#include "net/socket.h"
+#include "net/client.h"
 #include "result_json.h"
-#include "util/json.h"
 #include "workload/scenario.h"
 
 namespace {
+
+using latest::net::FrameType;
+using latest::workload::ScenarioEvent;
+
+constexpr uint64_t kSeed = 5;
+constexpr uint64_t kWindow = 128;  // Unanswered requests per connection.
+constexpr uint64_t kSampleEvery = 16;
+constexpr int kIoTimeoutMs = 5000;
+
+// One connection's counts; `connected` and `traced` are 0 or 1.
+struct Counts {
+  uint64_t connected = 0, traced = 0;
+  uint64_t queries_sent = 0, queries_answered = 0;
+  uint64_t ingests_sent = 0, ingests_acked = 0;
+  uint64_t shed = 0, errors = 0, protocol_errors = 0;
+};
 
 [[noreturn]] void Die(const std::string& message) {
   std::fprintf(stderr, "latest_loadgen: %s\n", message.c_str());
   std::exit(1);
 }
 
-/// Server-attributed queue-wait percentiles scraped from /vars.
-struct ServerQueueWait {
-  bool ok = false;
-  double query_p50_ms = 0.0;
-  double query_p99_ms = 0.0;
-  double ingest_p50_ms = 0.0;
-  double ingest_p99_ms = 0.0;
-};
+/// Sends events `first`, `first + stride`, ... over one connection, then
+/// drains every outstanding response.
+void RunConnection(uint16_t port, const std::vector<ScenarioEvent>& events,
+                   size_t first, size_t stride, Counts& counts) {
+  auto connected =
+      latest::net::ServeClient::ConnectNegotiated(port, kIoTimeoutMs);
+  if (!connected.ok()) {
+    counts.errors = 1;
+    return;
+  }
+  latest::net::ServeClient& client = **connected;
+  counts.connected = 1;
+  counts.traced = client.trace_enabled() ? 1 : 0;
 
-/// Minimal blocking HTTP GET against the loopback introspection port.
-/// Returns the response body, or empty on any failure — the scrape is
-/// best-effort and must never fail the load run.
-std::string HttpGetBody(uint16_t port, const std::string& path) {
-  auto fd = latest::net::ConnectLoopback(port);
-  if (!fd.ok()) return "";
-  latest::net::SetIoTimeouts(fd->get(), 2000);
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-      "Connection: close\r\n\r\n";
-  if (!latest::net::SendAll(fd->get(), request.data(), request.size())) {
-    return "";
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd->get(), buffer, sizeof(buffer));
-    if (n <= 0) break;
-    response.append(buffer, static_cast<size_t>(n));
-  }
-  const size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) return "";
-  return response.substr(header_end + 4);
-}
+  uint64_t outstanding = 0;
+  // Reads one response; false once the connection is no longer usable.
+  const auto read_one = [&]() -> bool {
+    auto response = client.ReadResponse();
+    if (!response.ok()) {
+      ++counts.errors;
+      return false;
+    }
+    --outstanding;
+    switch (response->type) {
+      case FrameType::kQueryResponse:
+        ++counts.queries_answered;
+        return true;
+      case FrameType::kIngestAck:
+        ++counts.ingests_acked;
+        return true;
+      case FrameType::kRetryLater:
+        ++counts.shed;
+        return true;
+      default:
+        ++counts.protocol_errors;
+        return false;
+    }
+  };
 
-/// Pulls latest_serve_queue_wait_ms{class=query|ingest} p50/p99 out of
-/// the /vars JSON exposition.
-ServerQueueWait ScrapeQueueWait(uint16_t metrics_port) {
-  ServerQueueWait result;
-  const std::string body = HttpGetBody(metrics_port, "/vars");
-  if (body.empty()) return result;
-  auto parsed = latest::util::ParseJson(body);
-  if (!parsed.ok()) return result;
-  for (const auto& metric : parsed->Get("metrics").items()) {
-    if (metric.Get("name").AsString() != "latest_serve_queue_wait_ms") {
-      continue;
+  const uint64_t id_base = static_cast<uint64_t>(first + 1) << 48;
+  uint64_t seq = 0;
+  bool ok = true;
+  for (size_t i = first; i < events.size(); i += stride) {
+    while (ok && outstanding >= kWindow) ok = read_one();
+    if (!ok) break;
+    const ScenarioEvent& event = events[i];
+    const uint64_t request_id = id_base | ++seq;
+    latest::net::WireTraceContext trace;
+    if (client.trace_enabled()) {
+      trace = {true, request_id, seq % kSampleEvery == 0};
     }
-    const std::string klass =
-        metric.Get("labels").Get("class").AsString();
-    const double p50 = metric.Get("p50").AsDouble();
-    const double p99 = metric.Get("p99").AsDouble();
-    if (klass == "query") {
-      result.query_p50_ms = p50;
-      result.query_p99_ms = p99;
-      result.ok = true;
-    } else if (klass == "ingest") {
-      result.ingest_p50_ms = p50;
-      result.ingest_p99_ms = p99;
-      result.ok = true;
+    const latest::util::Status sent =
+        event.is_query ? client.SendQuery({request_id, event.query, trace})
+                       : client.SendIngest({request_id, event.object, trace});
+    if (!sent.ok()) {
+      ++counts.errors;
+      ok = false;
+      break;
     }
+    ++(event.is_query ? counts.queries_sent : counts.ingests_sent);
+    ++outstanding;
   }
-  return result;
+  while (ok && outstanding > 0) ok = read_one();
+  counts.errors += outstanding;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  latest::net::LoadgenConfig config;
-  bool have_port = false;
-  int metrics_port = -1;
+  int port = -1;
+  size_t connections = 16;
+  std::string scenario = "baseline";
+  uint64_t objects = 16000;
+  int64_t duration_ms = 8000;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
@@ -127,30 +138,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      config.port = static_cast<uint16_t>(
-          std::strtoul(value().c_str(), nullptr, 10));
-      have_port = true;
+      port = std::atoi(value().c_str());
     } else if (arg == "--connections") {
-      config.connections = std::strtoul(value().c_str(), nullptr, 10);
+      connections = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg == "--scenario") {
-      config.scenario = value();
+      scenario = value();
     } else if (arg == "--objects") {
-      config.objects = std::strtoull(value().c_str(), nullptr, 10);
+      objects = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--duration") {
-      config.duration_ms = std::strtoll(value().c_str(), nullptr, 10);
-    } else if (arg == "--seed") {
-      config.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--speedup") {
-      config.speedup = std::strtod(value().c_str(), nullptr);
-    } else if (arg == "--max-outstanding") {
-      config.max_outstanding = std::strtoul(value().c_str(), nullptr, 10);
-    } else if (arg == "--no-trace") {
-      config.trace = false;
-    } else if (arg == "--trace-sample-every") {
-      config.trace_sample_every =
-          std::strtoul(value().c_str(), nullptr, 10);
-    } else if (arg == "--metrics-port") {
-      metrics_port = std::atoi(value().c_str());
+      duration_ms = std::strtoll(value().c_str(), nullptr, 10);
     } else if (arg == "--list") {
       for (const std::string& name : latest::workload::ScenarioNames()) {
         std::printf("%s\n", name.c_str());
@@ -160,40 +156,53 @@ int main(int argc, char** argv) {
       Die("unknown flag " + arg);
     }
   }
-  if (!have_port) Die("--port is required");
+  if (port < 0 || port > 65535) Die("--port is required (0-65535)");
+  if (connections == 0) Die("--connections must be > 0");
 
-  auto report = latest::net::RunLoadgen(config);
-  if (!report.ok()) Die(report.status().ToString());
+  auto entry =
+      latest::workload::MakeScenario(scenario, objects, duration_ms, kSeed);
+  if (!entry.ok()) Die(entry.status().ToString());
+  // Scenario streams are pure: generate the events once and deal them
+  // round-robin across connections.
+  std::vector<ScenarioEvent> events;
+  latest::workload::ScenarioStream stream(entry->spec);
+  while (stream.HasNext()) events.push_back(stream.Next());
+  if (events.empty()) Die("scenario produced no events");
 
-  auto result = latest::tools::ResultJson("loadgen");
-  result.Str("scenario", config.scenario)
-      .U64("connections", config.connections)
-      .U64("traced_connections", report->traced_connections)
-      .U64("queries_sent", report->queries_sent)
-      .U64("queries_answered", report->queries_answered)
-      .U64("ingests_sent", report->ingests_sent)
-      .U64("ingests_acked", report->ingests_acked)
-      .U64("shed", report->shed)
-      .U64("errors", report->errors)
-      .U64("protocol_errors", report->protocol_errors)
-      .Dbl("wall_seconds", report->wall_seconds)
-      .Dbl("qps", report->qps)
-      .Dbl("p50_ms", report->p50_ms)
-      .Dbl("p95_ms", report->p95_ms)
-      .Dbl("p99_ms", report->p99_ms)
-      .Dbl("ingest_p50_ms", report->ingest_p50_ms)
-      .Dbl("ingest_p95_ms", report->ingest_p95_ms)
-      .Dbl("ingest_p99_ms", report->ingest_p99_ms);
-  if (metrics_port >= 0) {
-    const ServerQueueWait server =
-        ScrapeQueueWait(static_cast<uint16_t>(metrics_port));
-    if (server.ok) {
-      result.Dbl("server_queue_wait_query_p50_ms", server.query_p50_ms)
-          .Dbl("server_queue_wait_query_p99_ms", server.query_p99_ms)
-          .Dbl("server_queue_wait_ingest_p50_ms", server.ingest_p50_ms)
-          .Dbl("server_queue_wait_ingest_p99_ms", server.ingest_p99_ms);
-    }
+  std::vector<Counts> per_connection(connections);
+  std::vector<std::thread> threads;
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t c = 0; c < connections; ++c) {
+    threads.emplace_back(RunConnection, static_cast<uint16_t>(port),
+                         std::cref(events), c, connections,
+                         std::ref(per_connection[c]));
   }
-  result.Print();
+  for (std::thread& thread : threads) thread.join();
+  const double wall_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+
+  // One count summed over every connection.
+  const auto total = [&](uint64_t Counts::*count) {
+    uint64_t sum = 0;
+    for (const Counts& counts : per_connection) sum += counts.*count;
+    return sum;
+  };
+  latest::tools::ResultJson("loadgen")
+      .Str("scenario", scenario)
+      .U64("connections", connections)
+      .U64("traced_connections", total(&Counts::traced))
+      .U64("queries_sent", total(&Counts::queries_sent))
+      .U64("queries_answered", total(&Counts::queries_answered))
+      .U64("ingests_sent", total(&Counts::ingests_sent))
+      .U64("ingests_acked", total(&Counts::ingests_acked))
+      .U64("shed", total(&Counts::shed))
+      .U64("errors", total(&Counts::errors))
+      .U64("protocol_errors", total(&Counts::protocol_errors))
+      .Dbl("wall_seconds", wall_seconds)
+      .Dbl("qps", static_cast<double>(total(&Counts::queries_answered)) /
+                      std::max(wall_seconds, 1e-9))
+      .Print();
+  if (total(&Counts::connected) == 0) Die("no connection could be established");
   return 0;
 }
