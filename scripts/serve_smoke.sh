@@ -96,7 +96,7 @@ test -s "$OUT_DIR/profilez.folded"
 grep -q serving "$OUT_DIR/statusz.txt"
 
 echo "== overload: tiny query queue, 32 connections =="
-"$SERVE_BIN" --port "$OVERLOAD_PORT" --tick-us 100000 \
+"$SERVE_BIN" --port "$OVERLOAD_PORT" \
   --max-batch 1024 --max-query-queue 4 --run-for-ms 120000 \
   >"$WORK_DIR/serve_overload.log" &
 OVERLOAD_PID=$!

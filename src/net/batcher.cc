@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace latest::net {
 
@@ -47,31 +48,23 @@ AdmitResult Batcher::Admit(AdmittedEvent event, bool degraded,
           .count();
   if (event.arrival_micros == 0) event.arrival_micros = event.admit_micros;
   fifo_.push_back(std::move(event));
-  const bool fire_now =
-      pending_query_ >= config_.max_batch || config_.tick_us == 0;
-  const bool first_event = pending_ingest_ + pending_query_ == 1;
+  const bool wake = std::exchange(consumer_waiting_, false);
   lock.unlock();
-  // The consumer only sleeps on an empty queue (first event) or inside
-  // the tick window (batch-ready); waking it for every admission would
-  // thrash the tick.
-  if (fire_now || first_event) cv_.notify_one();
+  if (wake) cv_.notify_one();
   return AdmitResult::kAdmitted;
 }
 
 bool Batcher::WaitForBatch(std::vector<AdmittedEvent>* out) {
   out->clear();
   std::unique_lock<std::mutex> lock(mu_);
-  // Wait for any work (or shutdown) first, then give the tick window a
-  // chance to coalesce more queries before draining.
-  cv_.wait(lock, [this] { return stopped_ || !fifo_.empty(); });
-  if (fifo_.empty()) return false;  // Stopped and drained.
-  if (config_.tick_us > 0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(config_.tick_us);
-    cv_.wait_until(lock, deadline, [this] {
-      return stopped_ || pending_query_ >= config_.max_batch;
-    });
+  // The flag is re-armed on every pass, so a spurious wakeup cannot
+  // leave the consumer asleep with no Admit left to wake it.
+  while (!stopped_ && fifo_.empty()) {
+    consumer_waiting_ = true;
+    cv_.wait(lock);
   }
+  consumer_waiting_ = false;
+  if (fifo_.empty()) return false;  // Stopped and drained.
   const size_t query_cap = std::max<uint32_t>(1, config_.max_batch);
   const int64_t dequeue_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(

@@ -1,10 +1,13 @@
-// Tick-based admission for the serving data plane.
+// Group-commit admission for the serving data plane.
 //
 // The IO thread admits decoded INGEST/QUERY frames into one ordered FIFO
 // (arrival order is preserved end-to-end, so a single connection's
 // request sequence replays deterministically through the module). The
-// batch thread blocks in WaitForBatch until a tick elapses or enough
-// queries are pending, then drains a prefix of the FIFO as one batch.
+// batch thread takes work as soon as it is free: blocked on an empty
+// FIFO, it is woken by the first admission and drains what is queued at
+// once; while it runs a batch, arrivals queue, and its next WaitForBatch
+// takes all of them in order, up to max_batch queries. Batch size
+// follows load; no timer sets it.
 //
 // Admission is where load shedding happens: both classes are bounded,
 // QUERY sheds before INGEST (dropping ingest corrupts the ground-truth
@@ -38,7 +41,7 @@ struct AdmittedEvent {
   /// Wire trace context (zero/unsampled when the client sent none).
   uint64_t trace_id = 0;
   bool trace_sampled = false;
-  /// Tick stamps, microseconds on the steady clock (same domain as
+  /// Stage stamps, microseconds on the steady clock (same domain as
   /// obs::SpanCollector::NanosFromSteadyMicros): socket readability,
   /// FIFO admission, batch-drain dequeue. arrival==admit when decode
   /// and admission happen inline on the IO thread (they do today);
@@ -49,12 +52,12 @@ struct AdmittedEvent {
 };
 
 struct BatcherConfig {
-  /// Tick period: queries admitted within one tick coalesce into one
-  /// OnQueryBatch call. 0 fires as soon as the batch thread is free
-  /// (with max_batch 1 that degenerates to unbatched serving).
+  /// Ignored: dispatch is group commit and reads no timer. The field
+  /// survives only because perfbench/src/bench_common.cc still assigns
+  /// it; the benchmark change that drops that assignment deletes it.
   uint32_t tick_us = 2000;
 
-  /// Queries per batch cap; reaching it fires the tick early.
+  /// Queries per batch cap (max_batch 1 is unbatched serving).
   uint32_t max_batch = 64;
 
   /// Bounded queue capacities (events, per class).
@@ -72,7 +75,7 @@ enum class AdmitResult : uint8_t {
   kShedIngest,  // Ingest queue full: RETRY_LATER.
 };
 
-/// Thread-safe bounded admission queue with tick-batched draining.
+/// Thread-safe bounded admission queue with group-commit draining.
 /// One producer side (any thread), one consumer (the batch thread).
 class Batcher {
  public:
@@ -83,12 +86,11 @@ class Batcher {
   AdmitResult Admit(AdmittedEvent event, bool degraded,
                     uint32_t* backoff_hint_ms);
 
-  /// Blocks until a batch is ready (tick deadline reached with pending
-  /// events, query occupancy hit max_batch, or Stop with a non-empty
-  /// queue), then moves an in-order prefix containing at most max_batch
-  /// queries into `*out`. Returns false only when stopped and fully
-  /// drained — the clean-shutdown contract: every admitted event is
-  /// either batched or the caller sees false.
+  /// Blocks while the queue is empty and not stopped, then at once moves
+  /// an in-order prefix containing at most max_batch queries into
+  /// `*out`. Returns false only when stopped and fully drained — the
+  /// clean-shutdown contract: every admitted event is either batched or
+  /// the caller sees false.
   bool WaitForBatch(std::vector<AdmittedEvent>* out);
 
   /// Wakes WaitForBatch; subsequent Admit calls shed everything.
@@ -107,6 +109,9 @@ class Batcher {
   size_t pending_ingest_ = 0;
   size_t pending_query_ = 0;
   bool stopped_ = false;
+  /// The consumer sleeps on cv_; the next Admit clears this and wakes
+  /// it. Admissions while the consumer is busy skip the notify.
+  bool consumer_waiting_ = false;
 };
 
 }  // namespace latest::net

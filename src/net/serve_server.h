@@ -10,9 +10,12 @@
 //                 flushes response bytes produced by the batch thread.
 //
 //   batch thread  Blocks in Batcher::WaitForBatch; the only thread that
-//                 touches the LatestModule. Applies ingests in order,
-//                 coalesces admitted query runs through OnQueryBatch (so
-//                 the PR 8 batch kernels see real batches), encodes the
+//                 touches the LatestModule. Group commit: when idle it
+//                 takes the first admission at once, and each later
+//                 batch is everything admitted while the previous one
+//                 ran (up to max_batch queries), so batch size follows
+//                 load. Applies ingests in order, coalesces admitted
+//                 query runs through OnQueryBatch, encodes the
 //                 responses, hands them to the IO thread through a
 //                 per-connection outbox, and mirrors phase/active/counter
 //                 state into atomics for the STATUS path.

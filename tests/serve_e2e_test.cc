@@ -1,6 +1,6 @@
 // End-to-end serve plane: an in-process ServeServer + blocking clients
 // over real loopback sockets. Verifies the three contracts the daemon
-// ships on: (1) answers through the tick-batched admission path are
+// ships on: (1) answers through the group-commit admission path are
 // bit-identical to direct LatestModule calls, (2) overload sheds QUERY
 // frames with RETRY_LATER while INGEST keeps landing, and (3) shutdown
 // drains every admitted event before closing. The concurrent-clients
@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,7 +76,6 @@ TEST(ServeE2eTest, EstimatesMatchDirectModuleCalls) {
   auto reference_module = MustCreate(TestConfig());
 
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   config.batcher.max_batch = 64;
   ServeServer server(config, server_module.get());
   ASSERT_TRUE(server.Start().ok());
@@ -166,18 +167,62 @@ TEST(ServeE2eTest, EstimatesMatchDirectModuleCalls) {
   server.Stop();
 }
 
+// Stalls the batch thread deterministically: installed as the server's
+// ingest hook, it blocks every ingest until Release(), so whatever is
+// admitted meanwhile stays queued. Ingests then reach the module as
+// usual.
+class BatchThreadStall {
+ public:
+  explicit BatchThreadStall(core::LatestModule* module) : module_(module) {}
+
+  std::function<void(const stream::GeoTextObject&)> Hook() {
+    return [this](const stream::GeoTextObject& obj) {
+      stalled_.store(true);
+      stalled_.notify_all();
+      released_.wait();
+      module_->OnObject(obj);
+    };
+  }
+
+  /// Blocks until the batch thread sits in the hook.
+  void WaitUntilStalled() { stalled_.wait(false); }
+
+  void Release() { released_.count_down(); }
+
+ private:
+  core::LatestModule* const module_;
+  std::atomic<bool> stalled_{false};
+  std::latch released_{1};
+};
+
+IngestRequest MakeIngest(uint64_t request_id, uint64_t oid,
+                         int64_t timestamp) {
+  IngestRequest ingest;
+  ingest.request_id = request_id;
+  ingest.object.oid = oid;
+  ingest.object.loc = {10.0, 10.0};
+  ingest.object.keywords = {static_cast<stream::KeywordId>(oid % 50)};
+  ingest.object.timestamp = timestamp;
+  return ingest;
+}
+
 TEST(ServeE2eTest, OverloadShedsQueriesButKeepsIngesting) {
   auto module = MustCreate(TestConfig());
+  BatchThreadStall stall(module.get());
   ServeServerConfig config;
-  config.batcher.tick_us = 50000;   // Slow ticks: the queue must absorb.
-  config.batcher.max_batch = 1024;  // No occupancy-triggered early batch.
   config.batcher.max_query_queue = 2;
-  ServeServer server(config, module.get());
+  ServeServer server(config, module.get(), stall.Hook());
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server.port());
 
-  // Blast one pipelined burst of queries far past the queue cap.
+  // Park the batch thread in an ingest, so nothing drains the queues.
+  ASSERT_TRUE(client->SendIngest(MakeIngest(1, 0, 2000)).ok());
+  stall.WaitUntilStalled();
+
+  // Blast one pipelined burst of queries far past the queue cap, then
+  // ingests behind it.
   constexpr uint64_t kQueries = 200;
+  constexpr uint64_t kIngests = 50;
   std::string burst;
   for (uint64_t i = 0; i < kQueries; ++i) {
     QueryRequest query;
@@ -185,17 +230,28 @@ TEST(ServeE2eTest, OverloadShedsQueriesButKeepsIngesting) {
     query.query = MakeKeywordQuery(i % 50, 2000);
     EncodeQuery(query, &burst);
   }
+  for (uint64_t i = 0; i < kIngests; ++i) {
+    EncodeIngest(MakeIngest(5000 + i, i + 1, 2000 + static_cast<int64_t>(i)),
+                 &burst);
+  }
   ASSERT_TRUE(client->SendRaw(burst).ok());
+  while (server.stats().frames_in.load() < 1 + kQueries + kIngests) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stall.Release();
 
   // Shed responses come from the IO thread and answered ones from the
   // batch thread, so the interleaving is arbitrary — count by type.
   uint64_t answered = 0;
   uint64_t shed = 0;
-  for (uint64_t i = 0; i < kQueries; ++i) {
+  uint64_t acked = 0;
+  for (uint64_t i = 0; i < 1 + kQueries + kIngests; ++i) {
     auto response = client->ReadResponse();
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     if (response->type == FrameType::kQueryResponse) {
       ++answered;
+    } else if (response->type == FrameType::kIngestAck) {
+      ++acked;
     } else {
       ASSERT_EQ(response->type, FrameType::kRetryLater);
       EXPECT_EQ(response->retry.rejected_type,
@@ -204,64 +260,67 @@ TEST(ServeE2eTest, OverloadShedsQueriesButKeepsIngesting) {
       ++shed;
     }
   }
-  EXPECT_EQ(answered + shed, kQueries);
-  EXPECT_GT(shed, 0u);
+  // The stalled thread took nothing, so exactly the queue cap answered.
+  EXPECT_EQ(answered, config.batcher.max_query_queue);
+  EXPECT_EQ(shed, kQueries - answered);
   EXPECT_EQ(server.stats().shed_queries.load(), shed);
 
-  // Ingest still lands while queries shed: the shed policy protects the
+  // Ingest still landed while queries shed: the shed policy protects the
   // stream, not the other way around.
-  for (uint64_t i = 0; i < 50; ++i) {
-    IngestRequest ingest;
-    ingest.request_id = 5000 + i;
-    stream::GeoTextObject obj;
-    obj.oid = i;
-    obj.loc = {10.0, 10.0};
-    obj.keywords = {static_cast<stream::KeywordId>(i % 50)};
-    obj.timestamp = 2000 + static_cast<int64_t>(i);
-    ingest.object = obj;
-    ASSERT_TRUE(client->SendIngest(ingest).ok());
-    auto response = client->ReadResponse();
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->type, FrameType::kIngestAck);
-  }
+  EXPECT_EQ(acked, 1 + kIngests);
   EXPECT_EQ(server.stats().shed_ingests.load(), 0u);
+  EXPECT_EQ(server.stats().objects_ingested.load(), 1 + kIngests);
   server.Stop();
 }
 
 TEST(ServeE2eTest, CleanShutdownDrainsAdmittedWork) {
   auto module = MustCreate(TestConfig());
-  ServeServerConfig config;
-  config.batcher.tick_us = 100000;  // Work is still queued when we Stop.
-  config.batcher.max_batch = 1024;
-  ServeServer server(config, module.get());
+  BatchThreadStall stall(module.get());
+  ServeServer server(ServeServerConfig{}, module.get(), stall.Hook());
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server.port());
+  auto probe = MustConnect(server.port());
 
+  // Park the batch thread, then queue a burst behind it.
+  ASSERT_TRUE(client->SendIngest(MakeIngest(1, 0, 0)).ok());
+  stall.WaitUntilStalled();
   constexpr uint64_t kEvents = 32;
   std::string burst;
-  for (uint64_t i = 0; i < kEvents; ++i) {
-    IngestRequest ingest;
-    ingest.request_id = i + 1;
-    stream::GeoTextObject obj;
-    obj.oid = i;
-    obj.loc = {5.0, 5.0};
-    obj.keywords = {1};
-    obj.timestamp = static_cast<int64_t>(i);
-    ingest.object = obj;
-    EncodeIngest(ingest, &burst);
+  for (uint64_t i = 1; i <= kEvents; ++i) {
+    EncodeIngest(MakeIngest(i + 1, i, static_cast<int64_t>(i)), &burst);
   }
   ASSERT_TRUE(client->SendRaw(burst).ok());
-
-  // Wait until the IO thread has decoded (and thus admitted) the burst,
-  // then stop while the slow tick still holds it queued.
-  while (server.stats().frames_in.load() < kEvents) {
+  while (server.stats().frames_in.load() < 1 + kEvents) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  server.Stop();
+
+  // Stop with the burst still queued. Stop blocks until the batch thread
+  // drains, so it runs on its own thread.
+  std::thread stopper([&server] { server.Stop(); });
+
+  // Confirm Stop has closed admission before releasing the stall: a
+  // probe ingest sheds once it has. The STATUS frame behind each probe
+  // is answered inline, so its arrival means the probe was decided.
+  uint64_t probes_admitted = 0;
+  for (uint64_t id = 100;; ++id) {
+    std::string frames;
+    EncodeIngest(MakeIngest(id, id, kEvents), &frames);
+    EncodeStatus({id}, &frames);
+    ASSERT_TRUE(probe->SendRaw(frames).ok());
+    auto response = probe->ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (response->type == FrameType::kRetryLater) break;
+    ASSERT_EQ(response->type, FrameType::kStatusResponse);
+    ++probes_admitted;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stall.Release();
+  stopper.join();
 
   // Every admitted ingest was applied and its ack flushed before close.
-  EXPECT_EQ(server.stats().objects_ingested.load(), kEvents);
-  for (uint64_t i = 0; i < kEvents; ++i) {
+  EXPECT_EQ(server.stats().objects_ingested.load(),
+            1 + kEvents + probes_admitted);
+  for (uint64_t i = 0; i <= kEvents; ++i) {
     auto response = client->ReadResponse();
     ASSERT_TRUE(response.ok()) << "ack " << i << ": "
                                << response.status().ToString();
@@ -316,7 +375,6 @@ TEST(ServeE2eTest, GarbageFrameGetsErrorThenClose) {
 TEST(ServeE2eTest, ConcurrentClientsReconcileAndShutdownCleanly) {
   auto module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   config.batcher.max_batch = 32;
   ServeServer server(config, module.get());
   ASSERT_TRUE(server.Start().ok());
@@ -473,7 +531,6 @@ TEST(ServeE2eTest, TracedWaterfallsReconcileAndSpansLinkAcrossThreads) {
 
   auto module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   config.batcher.max_batch = 64;
   ServeServer server(config, module.get());
   ASSERT_TRUE(server.Start().ok());
@@ -612,7 +669,6 @@ TEST(ServeE2eTest, TracingDoesNotPerturbEstimates) {
   auto server_module = MustCreate(TestConfig());
   auto reference_module = MustCreate(TestConfig());
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   ServeServer server(config, server_module.get());
   ASSERT_TRUE(server.Start().ok());
   auto client_result = ServeClient::ConnectNegotiated(server.port());
@@ -677,7 +733,6 @@ TEST(ServeE2eTest, ConcurrentIntrospectionScrapesDuringLoad) {
   const uint16_t http_port = module->observer().introspection()->port();
 
   ServeServerConfig config;
-  config.batcher.tick_us = 500;
   ServeServer server(config, module.get());
   ASSERT_TRUE(server.Start().ok());
 

@@ -2,9 +2,11 @@
 //
 // Hosts one LatestModule behind the src/net RPC plane: a loopback
 // length-prefixed binary protocol accepting concurrent INGEST / QUERY /
-// STATUS frames, tick-batched admission into the module (so the batch
-// kernels see real batches), and SLO-driven load shedding (RETRY_LATER
-// with backoff hints; QUERY sheds before INGEST).
+// STATUS frames, group-commit admission into the module (the batch
+// thread takes everything admitted while it was busy, so batch size
+// follows load and the batch kernels see real batches under it), and
+// SLO-driven load shedding (RETRY_LATER with backoff hints; QUERY sheds
+// before INGEST).
 //
 // The module runs in production mode: only the active estimator and a
 // pre-filling candidate are maintained. The paper's evaluation mode
@@ -32,7 +34,7 @@
 // RESULT_JSON line with lifetime serve counters.
 //
 // Usage:
-//   latest_serve [--port P] [--tick-us T] [--max-batch N]
+//   latest_serve [--port P] [--max-batch N]
 //                [--max-query-queue N] [--max-ingest-queue N]
 //                [--degraded-divisor N] [--max-connections N]
 //                [--metrics-port P]
@@ -64,7 +66,6 @@ using latest::core::LatestModule;
 
 struct Options {
   uint16_t port = 0;
-  uint32_t tick_us = 2000;
   uint32_t max_batch = 64;
   uint32_t max_query_queue = 4096;
   uint32_t max_ingest_queue = 65536;
@@ -95,8 +96,6 @@ Options ParseArgs(int argc, char** argv) {
     if (arg == "--port") {
       options.port = static_cast<uint16_t>(std::strtoul(
           value().c_str(), nullptr, 10));
-    } else if (arg == "--tick-us") {
-      options.tick_us = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg == "--max-batch") {
       options.max_batch = std::strtoul(value().c_str(), nullptr, 10);
     } else if (arg == "--max-query-queue") {
@@ -226,7 +225,6 @@ int main(int argc, char** argv) {
 
   latest::net::ServeServerConfig serve_config;
   serve_config.port = options.port;
-  serve_config.batcher.tick_us = options.tick_us;
   serve_config.batcher.max_batch = options.max_batch;
   serve_config.batcher.max_query_queue = options.max_query_queue;
   serve_config.batcher.max_ingest_queue = options.max_ingest_queue;
@@ -277,6 +275,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The introspection thread reads the server's request-trace store and
+  // the tracing globals; stop it first, so neither is freed or unset
+  // under a page render.
+  if (module->observer().introspection() != nullptr) {
+    module->observer().introspection()->Stop();
+  }
   server.Stop();
   if (manager != nullptr) check_wal("sync", manager->Sync());
 
