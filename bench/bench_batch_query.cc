@@ -1,12 +1,15 @@
 // Batched vs per-query exact evaluation over the columnar window store.
 //
 // The SIMD kernel layer's headline win: ExactEvaluator::TrueSelectivityBatch
-// amortizes cell eviction, slab resolution, and gathering over K queries
-// per pass and sweeps the gathered columns with vector kernels, where the
-// scalar path re-walks the store per query. This bench pins the speedup
-// per workload mix (pure spatial, single keyword, mixed) plus the
-// vectorized histogram ingest rate, and emits one RESULT_JSON line gated
-// by scripts/bench_regress.py.
+// answers a batch's pure-spatial queries in one grid pass that amortizes
+// cell eviction, slab resolution, and gathering and sweeps the gathered
+// columns with vector kernels, where the scalar path re-walks the store
+// per query. Keyword and hybrid queries in a batch take the same
+// per-query inverted-index path as the scalar side, so the keyword and
+// mixed speedups measure the batch call's routing overhead and its
+// spatial share. This bench pins the speedup per workload mix (pure
+// spatial, single keyword, mixed) plus the vectorized histogram ingest
+// rate, and emits one RESULT_JSON line gated by scripts/bench_regress.py.
 //
 // Honours LATEST_BENCH_SCALE.
 
@@ -150,7 +153,7 @@ int main() {
                 mix.scalar_qps, mix.batch_qps, mix.speedup());
   }
 
-  // --- Vectorized histogram ingest (HistogramCellIds batch inserts). ---
+  // --- Vectorized histogram ingest (strided cell-id batch inserts). ---
   auto make_config = [&] {
     estimators::EstimatorConfig config;
     config.bounds = spec.bounds;

@@ -108,9 +108,6 @@ LatestModule::LatestModule(const LatestConfig& config)
       telemetry_(std::make_unique<obs::Telemetry>()) {
   RegisterMetrics();
   observer_ = std::make_unique<ModuleObserver>(*this, telemetry_.get());
-  system_log_.set_batch_observer([observer = observer_.get()](size_t batch) {
-    observer->OnTruthBatch(batch);
-  });
   scoreboard_.AttachTelemetry(&telemetry_->registry());
   // All enabled estimation structures are pre-filled during the warm-up
   // phase (Section V-C), so every enabled instance exists from the start.
@@ -763,6 +760,7 @@ void LatestModule::OnQueryBatch(const stream::Query* queries, size_t k,
   // Stage attribution: the batch pass is amortized evenly across queries.
   const double truth_ms_each =
       truth_watch.ElapsedMillis() / static_cast<double>(k);
+  observer_->OnTruthBatch(k);
   for (size_t i = 0; i < k; ++i) {
     outcomes[i] = OnQueryImpl(queries[i], &batch_truths_[i], truth_ms_each);
     if (stages != nullptr) stages[i] = last_stage_breakdown_;

@@ -251,13 +251,15 @@ class LatestModule {
 
   /// Answers `k` queries admitted as one batch (the serving plane's tick).
   /// Ground truth for the whole batch is computed first through
-  /// ExactEvaluator::TrueSelectivityBatch — so the batch kernels see real
-  /// batches — then per-query clock advance, estimation, training, and
-  /// switch bookkeeping run serially in arrival order. Outcomes are
-  /// bit-identical to calling OnQuery on each query in sequence: counts
-  /// filter by each query's own window cutoff, and the module-wide
-  /// non-decreasing-timestamp contract means interleaved eviction can
-  /// only remove objects already outside every later cutoff.
+  /// ExactEvaluator::TrueSelectivityBatch — so the grid batch kernel sees
+  /// the batch's spatial queries together, and the latest_batch_size
+  /// histogram gets one sample of k — then per-query clock advance,
+  /// estimation, training, and switch bookkeeping run serially in
+  /// arrival order. Outcomes are bit-identical to calling OnQuery on each
+  /// query in sequence: counts filter by each query's own window cutoff,
+  /// and the module-wide non-decreasing-timestamp contract means
+  /// interleaved eviction can only remove objects already outside every
+  /// later cutoff.
   /// `stages`, when non-null, receives one QueryStageBreakdown per query
   /// (ground-truth time amortized over the batch pass).
   void OnQueryBatch(const stream::Query* queries, size_t k,

@@ -78,7 +78,7 @@ class ModuleObserver {
                 estimators::EstimatorKind recommended,
                 bool had_prefilled_candidate);
 
-  /// Sub-batch size of one batched ground-truth pass.
+  /// Queries in one batched ground-truth pass (OnQueryBatch, k >= 2).
   void OnTruthBatch(size_t queries);
 
   /// Re-publishes every gauge from module state (after LoadState).

@@ -34,34 +34,30 @@ uint64_t ExactEvaluator::TrueSelectivity(const stream::Query& q) {
 
 void ExactEvaluator::TrueSelectivityBatch(const stream::Query* queries,
                                           size_t k, uint64_t* counts) {
-  if (k == 0) return;
-  // Two passes over the predicate split, same routing as
-  // TrueSelectivity: keyword/hybrid queries to the inverted index, pure
-  // spatial to the grid. batch_idx_ remembers each sub-batch entry's
-  // position in the caller's arrays.
-  for (int pass = 0; pass < 2; ++pass) {
-    batch_qs_.clear();
-    batch_cutoffs_.clear();
-    batch_idx_.clear();
-    for (size_t i = 0; i < k; ++i) {
-      if (queries[i].HasKeywords() != (pass == 0)) continue;
-      batch_qs_.push_back(&queries[i]);
-      batch_cutoffs_.push_back(queries[i].timestamp - window_length_ms_);
-      batch_idx_.push_back(static_cast<uint32_t>(i));
+  // Same routing as TrueSelectivity. Keyword and hybrid queries are
+  // answered per query, in arrival order, on the inverted index: its
+  // postings short-circuit them, and no batch form of that path beat it.
+  // Pure spatial queries are collected into one grid batch pass;
+  // batch_idx_ remembers each one's position in the caller's arrays.
+  batch_qs_.clear();
+  batch_cutoffs_.clear();
+  batch_idx_.clear();
+  for (size_t i = 0; i < k; ++i) {
+    const stream::Timestamp cutoff = queries[i].timestamp - window_length_ms_;
+    if (queries[i].HasKeywords()) {
+      counts[i] = inverted_.CountMatches(queries[i], cutoff);
+      continue;
     }
-    if (batch_qs_.empty()) continue;
-    batch_counts_.assign(batch_qs_.size(), 0);
-    if (pass == 0) {
-      inverted_.CountMatchesBatch(batch_qs_.data(), batch_cutoffs_.data(),
-                                  batch_qs_.size(), batch_counts_.data());
-    } else {
-      grid_.CountMatchesBatch(batch_qs_.data(), batch_cutoffs_.data(),
-                              batch_qs_.size(), batch_counts_.data());
-    }
-    for (size_t j = 0; j < batch_idx_.size(); ++j) {
-      counts[batch_idx_[j]] = batch_counts_[j];
-    }
-    if (batch_observer_) batch_observer_(batch_qs_.size());
+    batch_qs_.push_back(&queries[i]);
+    batch_cutoffs_.push_back(cutoff);
+    batch_idx_.push_back(static_cast<uint32_t>(i));
+  }
+  if (batch_qs_.empty()) return;
+  batch_counts_.resize(batch_qs_.size());
+  grid_.CountMatchesBatch(batch_qs_.data(), batch_cutoffs_.data(),
+                          batch_qs_.size(), batch_counts_.data());
+  for (size_t j = 0; j < batch_idx_.size(); ++j) {
+    counts[batch_idx_[j]] = batch_counts_[j];
   }
 }
 

@@ -12,7 +12,6 @@
 #define LATEST_EXACT_EXACT_EVALUATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "exact/grid_index.h"
@@ -37,19 +36,13 @@ class ExactEvaluator {
   /// Exact selectivity of q over the window ending at q.timestamp.
   uint64_t TrueSelectivity(const stream::Query& q);
 
-  /// Batched exact evaluation: splits `queries[0..k)` by predicate type
-  /// and answers each sub-batch in one pass over the shared backend
-  /// (GridIndex / InvertedIndex CountMatchesBatch). counts[i] is
-  /// bit-identical to TrueSelectivity(queries[i]) at every kernel tier.
+  /// Batched exact evaluation: answers the pure-spatial queries of
+  /// `queries[0..k)` in one GridIndex::CountMatchesBatch pass, and each
+  /// keyword or hybrid query with the inverted index's per-query path in
+  /// arrival order. counts[i] is bit-identical to
+  /// TrueSelectivity(queries[i]) at every kernel tier.
   void TrueSelectivityBatch(const stream::Query* queries, size_t k,
                             uint64_t* counts);
-
-  /// Called with the sub-batch size on every batched backend dispatch
-  /// (observability hook for the latest_batch_size metric).
-  using BatchObserver = std::function<void(size_t)>;
-  void set_batch_observer(BatchObserver observer) {
-    batch_observer_ = std::move(observer);
-  }
 
   /// Evicts everything older than now - T; call periodically to bound
   /// memory between queries.
@@ -83,9 +76,8 @@ class ExactEvaluator {
   stream::WindowStore store_;
   GridIndex grid_;
   InvertedIndex inverted_;
-  BatchObserver batch_observer_;
 
-  // Batch-split scratch, reused across TrueSelectivityBatch calls.
+  // Spatial sub-batch scratch, reused across TrueSelectivityBatch calls.
   std::vector<const stream::Query*> batch_qs_;
   std::vector<stream::Timestamp> batch_cutoffs_;
   std::vector<uint32_t> batch_idx_;

@@ -1,6 +1,7 @@
 #include "exact/grid_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 #include "simd/kernels.h"
@@ -135,13 +136,12 @@ struct GridIndex::BatchPlan {
   uint32_t row_hi = 0;
   uint32_t out_idx = 0;
   bool has_range = false;
-  bool has_kw = false;
 };
 
 uint64_t GridIndex::BatchScanRows(const std::vector<BatchPlan>& plans,
                                   stream::Timestamp min_cutoff,
                                   uint32_t row_lo, uint32_t row_hi,
-                                  bool want_kws, bool want_ts,
+                                  bool want_ts,
                                   uint64_t* counts,
                                   BatchScanScratch* scratch) {
   const stream::WindowStore::Reader reader(*store_);
@@ -215,8 +215,7 @@ uint64_t GridIndex::BatchScanRows(const std::vector<BatchPlan>& plans,
         const size_t n = cell.live();
         off_lo[idx] = static_cast<uint32_t>(gathered->size());
         if (n > 0) {
-          gathered->Append(reader, cell.rows.data() + cell.head, n, want_kws,
-                           want_ts);
+          gathered->Append(reader, cell.rows.data() + cell.head, n, want_ts);
         }
         off_hi[idx] = static_cast<uint32_t>(gathered->size());
       }
@@ -229,11 +228,10 @@ uint64_t GridIndex::BatchScanRows(const std::vector<BatchPlan>& plans,
 
   // --- Count phase. Per (plan, grid row), the plan's covered cells form
   // one contiguous SoA range [off_lo[first cell], off_hi[last cell]), so
-  // a pure-spatial uniform-cutoff strip is one kernel sweep — split
-  // around its fully-interior middle, which counts from the offsets
-  // alone. Only stricter-than-minimum cutoffs fall back to per-cell
-  // ranges (each cell's run is arrival-ordered; a strip as a whole is
-  // not).
+  // a uniform-cutoff strip is one kernel sweep — split around its
+  // fully-interior middle, which counts from the offsets alone. Only
+  // stricter-than-minimum cutoffs fall back to per-cell ranges (each
+  // cell's run is arrival-ordered; a strip as a whole is not).
   const geo::Point* locs = gathered->locs.data();
   for (const BatchPlan& plan : plans) {
     if (plan.row_hi < row_lo || plan.row_lo > row_hi) continue;
@@ -254,37 +252,13 @@ uint64_t GridIndex::BatchScanRows(const std::vector<BatchPlan>& plans,
           const uint32_t start =
               clo + static_cast<uint32_t>(simd::LowerBoundTimestamp(
                         ts + clo, chi - clo, plan.cutoff));
-          if (plan.has_kw) {
-            const size_t q_len = plan.q->keywords.size();
-            const stream::KeywordId* q_kw = plan.q->keywords.data();
-            for (uint32_t i = start; i < chi; ++i) {
-              if (plan.has_range && !plan.q->range->Contains(locs[i])) {
-                continue;
-              }
-              if (simd::AnyKeywordIntersect(gathered->kws[i].first,
-                                            gathered->kws[i].second, q_kw,
-                                            q_len)) {
-                ++c;
-              }
-            }
-          } else if (!plan.has_range ||
-                     (row > plan.row_lo && row < plan.row_hi &&
-                      col > plan.col_lo && col < plan.col_hi)) {
+          if (!plan.has_range ||
+              (row > plan.row_lo && row < plan.row_hi &&
+               col > plan.col_lo && col < plan.col_hi)) {
             c += chi - start;
           } else {
             c += simd::RectContainCount(locs + start, chi - start,
                                         *plan.q->range);
-          }
-        }
-      } else if (plan.has_kw) {
-        const size_t q_len = plan.q->keywords.size();
-        const stream::KeywordId* q_kw = plan.q->keywords.data();
-        for (uint32_t i = lo; i < hi; ++i) {
-          if (plan.has_range && !plan.q->range->Contains(locs[i])) continue;
-          if (simd::AnyKeywordIntersect(gathered->kws[i].first,
-                                        gathered->kws[i].second, q_kw,
-                                        q_len)) {
-            ++c;
           }
         }
       } else if (!plan.has_range) {
@@ -323,8 +297,8 @@ void GridIndex::CountMatchesBatch(const stream::Query* const* queries,
     plan.q = queries[i];
     plan.cutoff = cutoffs[i];
     plan.out_idx = static_cast<uint32_t>(i);
+    assert(!queries[i]->HasKeywords());
     plan.has_range = queries[i]->HasRange();
-    plan.has_kw = queries[i]->HasKeywords();
     plan.col_hi = grid_.cols() - 1;
     plan.row_hi = grid_.rows() - 1;
     if (plan.has_range &&
@@ -343,10 +317,8 @@ void GridIndex::CountMatchesBatch(const stream::Query* const* queries,
     plans.push_back(plan);
   }
   if (plans.empty()) return;
-  bool want_kws = false;
   bool want_ts = false;
   for (const BatchPlan& plan : plans) {
-    want_kws |= plan.has_kw;
     // Timestamps are only consulted to lower-bound past a stricter-than-
     // batch-minimum cutoff; a uniform-cutoff batch never reads them.
     want_ts |= plan.cutoff > min_cutoff;
@@ -356,8 +328,8 @@ void GridIndex::CountMatchesBatch(const stream::Query* const* queries,
             [](const BatchPlan& a, const BatchPlan& b) {
               return a.col_lo < b.col_lo;
             });
-  size_ -= BatchScanRows(plans, min_cutoff, u_row_lo, u_row_hi, want_kws,
-                         want_ts, counts, &batch_scratch_);
+  size_ -= BatchScanRows(plans, min_cutoff, u_row_lo, u_row_hi, want_ts,
+                         counts, &batch_scratch_);
 }
 
 void GridIndex::Clear() {

@@ -48,12 +48,13 @@ class GridIndex {
   /// lazily evicted).
   uint64_t CountMatches(const stream::Query& q, stream::Timestamp cutoff);
 
-  /// Batched exact evaluation: one pass over the union of the queries'
-  /// candidate cell ranges, evicting and gathering each cell's columns
-  /// once and sweeping them with the SIMD kernels for every covering
-  /// query. counts[i] receives the match count of *queries[i] under
-  /// cutoffs[i], bit-identical to CountMatches(*queries[i], cutoffs[i])
-  /// at every kernel tier.
+  /// Batched exact evaluation of K pure-spatial queries (no keyword
+  /// predicate): one pass over the union of the queries' candidate cell
+  /// ranges, evicting and gathering each cell's columns once and sweeping
+  /// them with the SIMD kernels for every covering query. counts[i]
+  /// receives the match count of *queries[i] under cutoffs[i],
+  /// bit-identical to CountMatches(*queries[i], cutoffs[i]) at every
+  /// kernel tier.
   void CountMatchesBatch(const stream::Query* const* queries,
                          const stream::Timestamp* cutoffs, size_t k,
                          uint64_t* counts);
@@ -126,7 +127,7 @@ class GridIndex {
   /// alone. Returns evictions.
   uint64_t BatchScanRows(const std::vector<BatchPlan>& plans,
                          stream::Timestamp min_cutoff, uint32_t row_lo,
-                         uint32_t row_hi, bool want_kws, bool want_ts,
+                         uint32_t row_hi, bool want_ts,
                          uint64_t* counts, BatchScanScratch* scratch);
 
   const stream::WindowStore* store_;

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "exact/row_scan.h"
@@ -43,16 +42,6 @@ class InvertedIndex {
   /// Exact number of window objects matching a query that has a keyword
   /// predicate. Must not be called for pure spatial queries.
   uint64_t CountMatches(const stream::Query& q, stream::Timestamp cutoff);
-
-  /// Batched exact evaluation of K keyword/hybrid queries. Evicts every
-  /// batch keyword's postings once, builds per-batch row bitmaps for hot
-  /// keywords (shared by two or more multi-keyword queries), and counts
-  /// via bitmap OR/popcount and the SIMD rect kernels. counts[i] receives
-  /// the match count of *queries[i] under cutoffs[i], bit-identical to
-  /// CountMatches(*queries[i], cutoffs[i]) at every kernel tier.
-  void CountMatchesBatch(const stream::Query* const* queries,
-                         const stream::Timestamp* cutoffs, size_t k,
-                         uint64_t* counts);
 
   /// Removes all postings with timestamp < cutoff.
   void EvictBefore(stream::Timestamp cutoff);
@@ -83,38 +72,9 @@ class InvertedIndex {
   /// fresh dedup epoch; returns the index mask.
   uint32_t PrepareSeenEpoch();
 
-  /// Per-evaluation scratch of the batch path: candidate/rect/slab
-  /// bitmaps plus gather columns, reused across batches.
-  struct BatchScratch {
-    std::vector<uint64_t> cand;
-    std::vector<uint64_t> rect;
-    std::vector<uint64_t> slab;
-    GatheredRows rows;
-  };
-
-  /// Evaluates one batch query against the (already evicted) postings.
-  /// Read-only on the index.
-  void EvalBatchQuery(const stream::Query& q, stream::Timestamp cutoff,
-                      stream::Timestamp min_cutoff, Row base0, Row end_row,
-                      const stream::WindowStore::Reader& reader,
-                      BatchScratch* scratch, uint64_t* out) const;
-
-  /// Precomputed row bitmap of a hot batch keyword, or null.
-  const uint64_t* HotMask(stream::KeywordId id) const;
-
   const stream::WindowStore* store_;
   std::vector<PostingList> postings_;
   uint64_t num_postings_ = 0;
-
-  /// Batch-scoped hot-keyword bitmap index: hot_ids_ maps keyword id ->
-  /// slot in hot_masks_ (sorted by id; rebuilt per batch, buffers
-  /// recycled). Masks cover store rows [first_live_row, end_row).
-  std::vector<std::pair<stream::KeywordId, uint32_t>> hot_ids_;
-  std::vector<std::vector<uint64_t>> hot_masks_;
-  /// (keyword id, used-by-multi-keyword-query) pairs of the current
-  /// batch, sorted for the hot census.
-  std::vector<std::pair<stream::KeywordId, bool>> batch_kws_;
-  BatchScratch serial_scratch_;
 
   /// Epoch-stamped dedup bitmap: seen_stamps_[row & mask] == seen_epoch_
   /// means the row was already counted this query. Sized to the next

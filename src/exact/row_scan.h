@@ -5,15 +5,14 @@
 // the containing ColumnSlab once per run of same-slice rows, then test
 // the RC-DVQ predicate against the slab columns. That loop used to be
 // copy-pasted into all three backends; RowScanner is the one
-// implementation, and the batched evaluation paths reuse it to gather
-// row columns into contiguous scratch the SIMD kernels can sweep.
+// implementation. GatheredRows is the grid batch scan's contiguous
+// scratch that the SIMD kernels sweep.
 
 #ifndef LATEST_EXACT_ROW_SCAN_H_
 #define LATEST_EXACT_ROW_SCAN_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "simd/kernels.h"
@@ -32,20 +31,9 @@ class RowScanner {
   explicit RowScanner(const stream::WindowStore::Reader& reader)
       : reader_(reader) {}
 
-  stream::Timestamp timestamp(Row row) {
-    Resolve(row);
-    return slab_.timestamps[row - slab_.base];
-  }
-
   const geo::Point& loc(Row row) {
     Resolve(row);
     return slab_.locs[row - slab_.base];
-  }
-
-  std::pair<const stream::KeywordId*, uint32_t> keywords(Row row) {
-    Resolve(row);
-    const stream::KeywordSpan span = slab_.spans[row - slab_.base];
-    return {slab_.arena->Data(span), span.len};
   }
 
   /// Full RC-DVQ predicate against one live row (window membership is the
@@ -74,55 +62,31 @@ class RowScanner {
   stream::WindowStore::ColumnSlab slab_;
 };
 
-/// Contiguous per-batch scratch columns gathered from a row sequence, the
-/// unit the SIMD kernels sweep. Reused across cells/leaves of one batch
-/// pass so steady state allocates nothing.
+/// Contiguous per-batch scratch columns gathered from row sequences, the
+/// unit the SIMD kernels sweep. One grid batch pass concatenates many
+/// cells into this single SoA (each cell's run stays arrival-ordered) and
+/// sweeps contiguous multi-cell ranges with one kernel call. Capacity
+/// persists across Clear(), so steady state allocates nothing.
 struct GatheredRows {
   using Row = stream::WindowStore::Row;
 
   std::vector<stream::Timestamp> ts;
   std::vector<geo::Point> locs;
-  std::vector<std::pair<const stream::KeywordId*, uint32_t>> kws;
-
-  /// Gathers locations (and keyword refs when `want_kws`, timestamps when
-  /// `want_ts`) of `n` arrival-ordered rows. Batches whose queries all
-  /// share the window cutoff skip the timestamp column entirely: eviction
-  /// at that cutoff already proves every gathered row live, and skipping
-  /// the load+store halves the gather cost of pure-spatial sweeps.
-  void Gather(const stream::WindowStore::Reader& reader, const Row* rows,
-              size_t n, bool want_kws, bool want_ts = true) {
-    ts.resize(want_ts ? n : 0);
-    locs.resize(n);
-    kws.resize(want_kws ? n : 0);
-    stream::WindowStore::ColumnSlab slab;
-    for (size_t i = 0; i < n; ++i) {
-      const Row row = rows[i];
-      if (!slab.contains(row)) slab = reader.slab(row);
-      const Row k = row - slab.base;
-      if (want_ts) ts[i] = slab.timestamps[k];
-      locs[i] = slab.locs[k];
-      if (want_kws) {
-        const stream::KeywordSpan span = slab.spans[k];
-        kws[i] = {slab.arena->Data(span), span.len};
-      }
-    }
-  }
 
   void Clear() {
     ts.clear();
     locs.clear();
-    kws.clear();
   }
 
   size_t size() const { return locs.size(); }
 
-  /// Appends `n` rows' columns instead of replacing the scratch, so one
-  /// batch pass can concatenate many cells into a single SoA (each cell's
-  /// run stays arrival-ordered) and sweep contiguous multi-cell ranges
-  /// with one kernel call. Capacity persists across Clear(), so steady
-  /// state allocates nothing.
+  /// Appends the locations (and timestamps when `want_ts`) of `n`
+  /// arrival-ordered rows. Batches whose queries all share the window
+  /// cutoff skip the timestamp column entirely: eviction at that cutoff
+  /// already proves every gathered row live, and skipping the load+store
+  /// halves the gather cost of the sweep.
   void Append(const stream::WindowStore::Reader& reader, const Row* rows,
-              size_t n, bool want_kws, bool want_ts) {
+              size_t n, bool want_ts) {
     stream::WindowStore::ColumnSlab slab;
     for (size_t i = 0; i < n; ++i) {
       const Row row = rows[i];
@@ -130,10 +94,6 @@ struct GatheredRows {
       const Row k = row - slab.base;
       if (want_ts) ts.push_back(slab.timestamps[k]);
       locs.push_back(slab.locs[k]);
-      if (want_kws) {
-        const stream::KeywordSpan span = slab.spans[k];
-        kws.push_back({slab.arena->Data(span), span.len});
-      }
     }
   }
 };

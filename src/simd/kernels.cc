@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 // LATEST_SIMD_X86 gates every intrinsic body. The scalar tier is the only
 // one compiled on other targets or under -DLATEST_DISABLE_SIMD=ON, and it
@@ -24,19 +23,6 @@ namespace latest::simd {
 
 namespace {
 
-void ZeroMask(uint64_t* mask, size_t n) {
-  std::memset(mask, 0, MaskWords(n) * sizeof(uint64_t));
-}
-
-// Only the vector tiers take the all-pass shortcut; the scalar build
-// compiles without a caller.
-[[maybe_unused]] void FillMask(uint64_t* mask, size_t n) {
-  const size_t words = MaskWords(n);
-  if (words == 0) return;
-  std::memset(mask, 0xff, words * sizeof(uint64_t));
-  if (n & 63) mask[words - 1] = ~uint64_t{0} >> (64 - (n & 63));
-}
-
 // Probing a sorted span with vector compare-equal only pays off once the
 // span is a couple of cache lines long; below this both SIMD tiers defer
 // to the galloping/merge scalar test.
@@ -44,27 +30,11 @@ constexpr size_t kSimdProbeMinLen = 16;
 
 // --- Scalar reference implementations --------------------------------------
 
-void RectContainMaskScalar(const geo::Point* locs, size_t n,
-                           const geo::Rect& r, uint64_t* mask) {
-  ZeroMask(mask, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (r.Contains(locs[i])) mask[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-}
-
 uint64_t RectContainCountScalar(const geo::Point* locs, size_t n,
                                 const geo::Rect& r) {
   uint64_t count = 0;
   for (size_t i = 0; i < n; ++i) count += r.Contains(locs[i]) ? 1 : 0;
   return count;
-}
-
-void TimestampGeMaskScalar(const stream::Timestamp* ts, size_t n,
-                           stream::Timestamp cutoff, uint64_t* mask) {
-  ZeroMask(mask, n);
-  for (size_t i = 0; i < n; ++i) {
-    if (ts[i] >= cutoff) mask[i >> 6] |= uint64_t{1} << (i & 63);
-  }
 }
 
 // Mirrors geo::Grid::CellOf exactly (same subtract/divide/truncate/clamp
@@ -84,15 +54,6 @@ uint32_t CellIdScalar(const geo::Point& p, const geo::Rect& bounds,
   return row * cols + col;
 }
 
-void HistogramCellIdsScalar(const geo::Point* locs, size_t n,
-                            const geo::Rect& bounds, double cell_w,
-                            double cell_h, uint32_t cols, uint32_t rows,
-                            uint32_t* cells) {
-  for (size_t i = 0; i < n; ++i) {
-    cells[i] = CellIdScalar(locs[i], bounds, cell_w, cell_h, cols, rows);
-  }
-}
-
 void HistogramCellIdsStridedScalar(const geo::Point* first, size_t stride,
                                    size_t n, const geo::Rect& bounds,
                                    double cell_w, double cell_h, uint32_t cols,
@@ -104,52 +65,13 @@ void HistogramCellIdsStridedScalar(const geo::Point* first, size_t stride,
   }
 }
 
-void MaskAndScalar(uint64_t* dst, const uint64_t* src, size_t words) {
-  for (size_t w = 0; w < words; ++w) dst[w] &= src[w];
-}
-
-void MaskOrScalar(uint64_t* dst, const uint64_t* src, size_t words) {
-  for (size_t w = 0; w < words; ++w) dst[w] |= src[w];
-}
-
-uint64_t MaskPopcountScalar(const uint64_t* mask, size_t words) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
-  }
-  return count;
-}
-
-uint64_t MaskAndPopcountScalar(const uint64_t* a, const uint64_t* b,
-                               size_t words) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<uint64_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return count;
-}
-
 #if LATEST_SIMD_X86
 
 // --- SSE2 tier (x86-64 baseline, no target attribute needed) ---------------
 //
-// SSE2 carries the 2-lane double compares the rect kernels need and
-// 4-lane 32-bit compare-equal for keyword probing; it lacks 64-bit integer
-// compares and 32-bit lane multiplies, so the timestamp and histogram
-// kernels stay scalar at this tier.
-
-void RectContainMaskSSE2(const geo::Point* locs, size_t n, const geo::Rect& r,
-                         uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m128d lo = _mm_setr_pd(r.min_x, r.min_y);
-  const __m128d hi = _mm_setr_pd(r.max_x, r.max_y);
-  for (size_t i = 0; i < n; ++i) {
-    const __m128d v = _mm_loadu_pd(reinterpret_cast<const double*>(locs + i));
-    const int m = _mm_movemask_pd(
-        _mm_and_pd(_mm_cmpge_pd(v, lo), _mm_cmplt_pd(v, hi)));
-    if (m == 3) mask[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-}
+// SSE2 carries the 2-lane double compares the rect kernel needs and
+// 4-lane 32-bit compare-equal for keyword probing; it lacks 32-bit lane
+// multiplies, so the histogram kernel stays scalar at this tier.
 
 uint64_t RectContainCountSSE2(const geo::Point* locs, size_t n,
                               const geo::Rect& r) {
@@ -218,22 +140,6 @@ LATEST_TARGET_AVX2 inline uint64_t RectNibble4(const geo::Point* locs,
   return (t0 & 1u) | ((t0 >> 1) & 2u) | (((t1 & 1u) | ((t1 >> 1) & 2u)) << 2);
 }
 
-LATEST_TARGET_AVX2 void RectContainMaskAVX2(const geo::Point* locs, size_t n,
-                                            const geo::Rect& r,
-                                            uint64_t* mask) {
-  ZeroMask(mask, n);
-  const __m256d lo = _mm256_setr_pd(r.min_x, r.min_y, r.min_x, r.min_y);
-  const __m256d hi = _mm256_setr_pd(r.max_x, r.max_y, r.max_x, r.max_y);
-  size_t i = 0;
-  // 4 divides 64, so a nibble at bit (i & 63) never crosses a word.
-  for (; i + 4 <= n; i += 4) {
-    mask[i >> 6] |= RectNibble4(locs + i, lo, hi) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (r.Contains(locs[i])) mask[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-}
-
 LATEST_TARGET_AVX2 uint64_t RectContainCountAVX2(const geo::Point* locs,
                                                  size_t n,
                                                  const geo::Rect& r) {
@@ -249,74 +155,14 @@ LATEST_TARGET_AVX2 uint64_t RectContainCountAVX2(const geo::Point* locs,
   return count;
 }
 
-LATEST_TARGET_AVX2 void TimestampGeMaskAVX2(const stream::Timestamp* ts,
-                                            size_t n, stream::Timestamp cutoff,
-                                            uint64_t* mask) {
-  if (cutoff == std::numeric_limits<stream::Timestamp>::min()) {
-    FillMask(mask, n);  // Every timestamp passes; cutoff - 1 would wrap.
-    return;
-  }
-  ZeroMask(mask, n);
-  const __m256i c = _mm256_set1_epi64x(cutoff - 1);  // ts >= cutoff <=> ts > c
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ts + i));
-    const unsigned m = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(v, c))));
-    mask[i >> 6] |= static_cast<uint64_t>(m) << (i & 63);
-  }
-  for (; i < n; ++i) {
-    if (ts[i] >= cutoff) mask[i >> 6] |= uint64_t{1} << (i & 63);
-  }
-}
-
 // Bit-identical to CellIdScalar: the subtract and _mm256_div_pd are the
 // same IEEE operations in the same order, and the double-domain clamp
 // v' = min(max(v, 0), n - 1) truncates to the same index as the scalar
 // int64 clamp for every v < 2^63 (v < 0 -> 0; v in [n-1, n) and v >= n
 // both land on n - 1; in-range v truncates unchanged). n - 1 is exact in
-// a double and fits int32 (the dispatch wrapper bounds cols/rows).
-LATEST_TARGET_AVX2 void HistogramCellIdsAVX2(const geo::Point* locs, size_t n,
-                                             const geo::Rect& bounds,
-                                             double cell_w, double cell_h,
-                                             uint32_t cols, uint32_t rows,
-                                             uint32_t* cells) {
-  const __m256d origin =
-      _mm256_setr_pd(bounds.min_x, bounds.min_y, bounds.min_x, bounds.min_y);
-  const __m256d inv_wh = _mm256_setr_pd(cell_w, cell_h, cell_w, cell_h);
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d col_max = _mm256_set1_pd(static_cast<double>(cols - 1));
-  const __m256d row_max = _mm256_set1_pd(static_cast<double>(rows - 1));
-  const __m128i cols_v = _mm_set1_epi32(static_cast<int>(cols));
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v0 =
-        _mm256_loadu_pd(reinterpret_cast<const double*>(locs + i));
-    const __m256d v1 =
-        _mm256_loadu_pd(reinterpret_cast<const double*>(locs + i + 2));
-    const __m256d s0 = _mm256_div_pd(_mm256_sub_pd(v0, origin), inv_wh);
-    const __m256d s1 = _mm256_div_pd(_mm256_sub_pd(v1, origin), inv_wh);
-    // Deinterleave: lanes come out in point order [0, 2, 1, 3].
-    __m256d xs = _mm256_unpacklo_pd(s0, s1);
-    __m256d ys = _mm256_unpackhi_pd(s0, s1);
-    xs = _mm256_min_pd(_mm256_max_pd(xs, zero), col_max);
-    ys = _mm256_min_pd(_mm256_max_pd(ys, zero), row_max);
-    const __m128i col_i = _mm256_cvttpd_epi32(xs);
-    const __m128i row_i = _mm256_cvttpd_epi32(ys);
-    __m128i cell = _mm_add_epi32(_mm_mullo_epi32(row_i, cols_v), col_i);
-    cell = _mm_shuffle_epi32(cell, _MM_SHUFFLE(3, 1, 2, 0));  // [0,2,1,3]->[0..3]
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(cells + i), cell);
-  }
-  for (; i < n; ++i) {
-    cells[i] = CellIdScalar(locs[i], bounds, cell_w, cell_h, cols, rows);
-  }
-}
-
-// Same math as HistogramCellIdsAVX2 (so bit-identical to CellIdScalar);
-// only the loads differ: each point is a 128-bit load at its own strided
-// address, pairs fused into the 256-bit lanes the contiguous kernel loads
-// directly.
+// a double and fits int32 (the dispatch wrapper bounds cols/rows). Each
+// point is a 128-bit load at its own strided address, pairs fused into
+// 256-bit lanes.
 LATEST_TARGET_AVX2 void HistogramCellIdsStridedAVX2(
     const geo::Point* first, size_t stride, size_t n, const geo::Rect& bounds,
     double cell_w, double cell_h, uint32_t cols, uint32_t rows,
@@ -358,56 +204,6 @@ LATEST_TARGET_AVX2 void HistogramCellIdsStridedAVX2(
     const auto& p = *reinterpret_cast<const geo::Point*>(base + i * stride);
     cells[i] = CellIdScalar(p, bounds, cell_w, cell_h, cols, rows);
   }
-}
-
-LATEST_TARGET_AVX2 void MaskAndAVX2(uint64_t* dst, const uint64_t* src,
-                                    size_t words) {
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_and_si256(a, b));
-  }
-  for (; w < words; ++w) dst[w] &= src[w];
-}
-
-LATEST_TARGET_AVX2 void MaskOrAVX2(uint64_t* dst, const uint64_t* src,
-                                   size_t words) {
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + w));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w),
-                        _mm256_or_si256(a, b));
-  }
-  for (; w < words; ++w) dst[w] |= src[w];
-}
-
-// Same source as the scalar popcounts; the popcnt target attribute lets
-// the compiler emit the hardware instruction instead of the bit-trick
-// sequence the baseline build uses.
-LATEST_TARGET_AVX2 uint64_t MaskPopcountAVX2(const uint64_t* mask,
-                                             size_t words) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<uint64_t>(__builtin_popcountll(mask[w]));
-  }
-  return count;
-}
-
-LATEST_TARGET_AVX2 uint64_t MaskAndPopcountAVX2(const uint64_t* a,
-                                                const uint64_t* b,
-                                                size_t words) {
-  uint64_t count = 0;
-  for (size_t w = 0; w < words; ++w) {
-    count += static_cast<uint64_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return count;
 }
 
 // 8-lane variant of AnyKeywordIntersectSSE2; same contract.
@@ -509,23 +305,6 @@ bool SetActiveTier(KernelTier tier) {
 
 // --- Dispatch wrappers ------------------------------------------------------
 
-void RectContainMask(const geo::Point* locs, size_t n, const geo::Rect& r,
-                     uint64_t* mask) {
-#if LATEST_SIMD_X86
-  switch (ActiveTier()) {
-    case KernelTier::kAVX2:
-      RectContainMaskAVX2(locs, n, r, mask);
-      return;
-    case KernelTier::kSSE2:
-      RectContainMaskSSE2(locs, n, r, mask);
-      return;
-    case KernelTier::kScalar:
-      break;
-  }
-#endif
-  RectContainMaskScalar(locs, n, r, mask);
-}
-
 uint64_t RectContainCount(const geo::Point* locs, size_t n,
                           const geo::Rect& r) {
 #if LATEST_SIMD_X86
@@ -541,27 +320,13 @@ uint64_t RectContainCount(const geo::Point* locs, size_t n,
   return RectContainCountScalar(locs, n, r);
 }
 
-void HistogramCellIds(const geo::Point* locs, size_t n, const geo::Rect& bounds,
-                      double cell_w, double cell_h, uint32_t cols,
-                      uint32_t rows, uint32_t* cells) {
-#if LATEST_SIMD_X86
-  // The vector clamp converts through int32 lanes; absurdly large grids
-  // (never built in practice) take the scalar path instead.
-  if (ActiveTier() == KernelTier::kAVX2 && cols <= (1u << 30) &&
-      rows <= (1u << 30)) {
-    HistogramCellIdsAVX2(locs, n, bounds, cell_w, cell_h, cols, rows, cells);
-    return;
-  }
-#endif
-  HistogramCellIdsScalar(locs, n, bounds, cell_w, cell_h, cols, rows, cells);
-}
-
 void HistogramCellIdsStrided(const geo::Point* first, size_t stride, size_t n,
                              const geo::Rect& bounds, double cell_w,
                              double cell_h, uint32_t cols, uint32_t rows,
                              uint32_t* cells) {
 #if LATEST_SIMD_X86
-  // Same int32-lane clamp bound as the contiguous dispatch.
+  // The vector clamp converts through int32 lanes; absurdly large grids
+  // (never built in practice) take the scalar path instead.
   if (ActiveTier() == KernelTier::kAVX2 && cols <= (1u << 30) &&
       rows <= (1u << 30)) {
     HistogramCellIdsStridedAVX2(first, stride, n, bounds, cell_w, cell_h, cols,
@@ -571,18 +336,6 @@ void HistogramCellIdsStrided(const geo::Point* first, size_t stride, size_t n,
 #endif
   HistogramCellIdsStridedScalar(first, stride, n, bounds, cell_w, cell_h, cols,
                                 rows, cells);
-}
-
-void TimestampGeMask(const stream::Timestamp* ts, size_t n,
-                     stream::Timestamp cutoff, uint64_t* mask) {
-#if LATEST_SIMD_X86
-  // SSE2 has no 64-bit integer compare; that tier stays scalar here.
-  if (ActiveTier() == KernelTier::kAVX2) {
-    TimestampGeMaskAVX2(ts, n, cutoff, mask);
-    return;
-  }
-#endif
-  TimestampGeMaskScalar(ts, n, cutoff, mask);
 }
 
 size_t LowerBoundTimestamp(const stream::Timestamp* ts, size_t n,
@@ -598,65 +351,6 @@ size_t LowerBoundTimestamp(const stream::Timestamp* ts, size_t n,
     }
   }
   return lo;
-}
-
-void MaskAnd(uint64_t* dst, const uint64_t* src, size_t words) {
-#if LATEST_SIMD_X86
-  if (ActiveTier() == KernelTier::kAVX2) {
-    MaskAndAVX2(dst, src, words);
-    return;
-  }
-#endif
-  MaskAndScalar(dst, src, words);
-}
-
-void MaskOr(uint64_t* dst, const uint64_t* src, size_t words) {
-#if LATEST_SIMD_X86
-  if (ActiveTier() == KernelTier::kAVX2) {
-    MaskOrAVX2(dst, src, words);
-    return;
-  }
-#endif
-  MaskOrScalar(dst, src, words);
-}
-
-uint64_t MaskPopcount(const uint64_t* mask, size_t words) {
-#if LATEST_SIMD_X86
-  if (ActiveTier() == KernelTier::kAVX2) return MaskPopcountAVX2(mask, words);
-#endif
-  return MaskPopcountScalar(mask, words);
-}
-
-uint64_t MaskAndPopcount(const uint64_t* a, const uint64_t* b, size_t words) {
-#if LATEST_SIMD_X86
-  if (ActiveTier() == KernelTier::kAVX2) {
-    return MaskAndPopcountAVX2(a, b, words);
-  }
-#endif
-  return MaskAndPopcountScalar(a, b, words);
-}
-
-void MaskOrShifted(uint64_t* dst, size_t bit_offset, const uint64_t* src,
-                   size_t nbits) {
-  if (nbits == 0) return;
-  const size_t words = MaskWords(nbits);
-  const size_t word_off = bit_offset >> 6;
-  const unsigned shift = static_cast<unsigned>(bit_offset & 63);
-  if (shift == 0) {
-    MaskOr(dst + word_off, src, words);
-    return;
-  }
-  for (size_t w = 0; w + 1 < words; ++w) {
-    dst[word_off + w] |= src[w] << shift;
-    dst[word_off + w + 1] |= src[w] >> (64 - shift);
-  }
-  const size_t last = words - 1;
-  dst[word_off + last] |= src[last] << shift;
-  // The spill word exists only when the last source bits shift past the
-  // word boundary; writing it unconditionally could touch one word beyond
-  // the promised bit_offset + nbits capacity.
-  const size_t rem = nbits - last * 64;
-  if (rem + shift > 64) dst[word_off + last + 1] |= src[last] >> (64 - shift);
 }
 
 bool AnyKeywordIntersect(const stream::KeywordId* span, size_t span_len,
@@ -684,34 +378,6 @@ bool AnyKeywordIntersect(const stream::KeywordId* span, size_t span_len,
   }
 #endif
   return stream::KeywordSetsIntersect(span, span_len, q, q_len);
-}
-
-void KeywordMatchMask(const stream::KeywordSpan* spans,
-                      const stream::KeywordId* arena_data, size_t n,
-                      const stream::KeywordId* q, size_t q_len,
-                      uint64_t* mask) {
-  ZeroMask(mask, n);
-  if (q_len == 0) return;
-  for (size_t i = 0; i < n; ++i) {
-    const stream::KeywordSpan s = spans[i];
-    if (s.len != 0 &&
-        AnyKeywordIntersect(arena_data + s.offset, s.len, q, q_len)) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
-}
-
-void KeywordMatchMask(
-    const std::pair<const stream::KeywordId*, uint32_t>* row_kws, size_t n,
-    const stream::KeywordId* q, size_t q_len, uint64_t* mask) {
-  ZeroMask(mask, n);
-  if (q_len == 0) return;
-  for (size_t i = 0; i < n; ++i) {
-    if (row_kws[i].second != 0 &&
-        AnyKeywordIntersect(row_kws[i].first, row_kws[i].second, q, q_len)) {
-      mask[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-  }
 }
 
 }  // namespace latest::simd

@@ -1,19 +1,17 @@
 // Runtime-dispatched SIMD kernels over the columnar window store's raw
 // arrays.
 //
-// PR 3 laid the window out as slice-partitioned SoA columns precisely so
-// hot loops could be vectorized; this layer supplies those loops. Every
-// kernel has a scalar, an SSE2, and an AVX2 implementation selected at
-// runtime from one process-global tier, and every implementation is
-// bit-identical: kernels either produce integers (match bitmaps, counts,
-// cell ids) or reuse the exact floating-point operation sequence of the
+// The window store lays the window out as slice-partitioned SoA columns
+// so hot loops can be vectorized; this layer supplies the four loops that
+// have a production caller: rect counting for the grid batch scan, the
+// sorted-column cutoff resolve, sorted keyword-set intersection for the
+// scan paths, and histogram cell ids for batched ingest. Each kernel has
+// a scalar implementation and, where it pays, SSE2 and AVX2 ones selected
+// at runtime from one process-global tier. Every implementation is
+// bit-identical: kernels either produce integers (counts, cell ids,
+// verdicts) or reuse the exact floating-point operation sequence of the
 // scalar path (same subtract/divide/compare ordering), so switching tiers
 // can never change a count, an estimate, or a persisted state CRC.
-//
-// Match bitmaps are dense little-endian words: bit i of mask[i / 64] is
-// element i, trailing bits of the last word are zero. Producers write
-// exactly MaskWords(n) words; consumers may therefore AND/OR/popcount
-// whole words without masking the tail.
 //
 // Dispatch: the active tier starts at the highest the CPU supports,
 // optionally lowered by the LATEST_SIMD_TIER environment variable
@@ -27,11 +25,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "geo/point.h"
 #include "geo/rect.h"
-#include "stream/keyword_arena.h"
 #include "stream/object.h"
 
 namespace latest::simd {
@@ -58,34 +54,20 @@ KernelTier ActiveTier();
 /// calls: set it at startup or between test sections, not mid-scan.
 bool SetActiveTier(KernelTier tier);
 
-/// Words needed for an n-bit match bitmap.
-constexpr size_t MaskWords(size_t n) { return (n + 63) / 64; }
-
 // --- Spatial kernels -------------------------------------------------------
 
-/// Writes the closed-open rect-containment bitmap of n points: bit i set
-/// iff r.Contains(locs[i]). Writes MaskWords(n) words, trailing bits zero.
-void RectContainMask(const geo::Point* locs, size_t n, const geo::Rect& r,
-                     uint64_t* mask);
-
-/// Number of points contained in r (RectContainMask + popcount, fused so
-/// no bitmap is materialized).
+/// Number of the n points that r.Contains (closed-open, false on NaN).
 uint64_t RectContainCount(const geo::Point* locs, size_t n,
                           const geo::Rect& r);
 
 /// Vectorized 2-D histogram cell ids: cells[i] = the uniform-grid cell of
-/// locs[i], bit-identical to geo::Grid::CellOf (same divide, truncate, and
-/// border-clamp sequence). `cell_w`/`cell_h` must be the grid's exact cell
-/// extents (Grid::cell_width()/cell_height()).
-void HistogramCellIds(const geo::Point* locs, size_t n, const geo::Rect& bounds,
-                      double cell_w, double cell_h, uint32_t cols,
-                      uint32_t rows, uint32_t* cells);
-
-/// Strided HistogramCellIds: the i-th point is read at `first + i * stride`
-/// bytes, so callers can map locations embedded in larger records (e.g. a
-/// GeoTextObject array) without first copying them into a dense buffer.
-/// `stride` is in bytes and must keep every read in bounds; results are
-/// bit-identical to HistogramCellIds over the same points.
+/// the i-th point, bit-identical to geo::Grid::CellOf (same divide,
+/// truncate, and border-clamp sequence). The i-th point is read at
+/// `first + i * stride` bytes, so callers can map locations embedded in
+/// larger records (e.g. a GeoTextObject array) without first copying them
+/// into a dense buffer; `stride` must keep every read in bounds, and
+/// sizeof(geo::Point) reads a dense array. `cell_w`/`cell_h` must be the
+/// grid's exact cell extents (Grid::cell_width()/cell_height()).
 void HistogramCellIdsStrided(const geo::Point* first, size_t stride, size_t n,
                              const geo::Rect& bounds, double cell_w,
                              double cell_h, uint32_t cols, uint32_t rows,
@@ -93,37 +75,11 @@ void HistogramCellIdsStrided(const geo::Point* first, size_t stride, size_t n,
 
 // --- Timestamp kernels -----------------------------------------------------
 
-/// Writes the window-liveness bitmap: bit i set iff ts[i] >= cutoff.
-/// Writes MaskWords(n) words, trailing bits zero.
-void TimestampGeMask(const stream::Timestamp* ts, size_t n,
-                     stream::Timestamp cutoff, uint64_t* mask);
-
 /// First index with ts[i] >= cutoff in a non-decreasing timestamp column
 /// (n when none). The store's slices and per-cell row lists are in arrival
 /// order, so this resolves a window cutoff to a live-range start.
 size_t LowerBoundTimestamp(const stream::Timestamp* ts, size_t n,
                            stream::Timestamp cutoff);
-
-// --- Bitmap kernels --------------------------------------------------------
-
-/// dst[w] &= src[w] over `words` words.
-void MaskAnd(uint64_t* dst, const uint64_t* src, size_t words);
-
-/// dst[w] |= src[w] over `words` words.
-void MaskOr(uint64_t* dst, const uint64_t* src, size_t words);
-
-/// Total set bits across `words` words.
-uint64_t MaskPopcount(const uint64_t* mask, size_t words);
-
-/// Popcount of the word-wise AND of two bitmaps (no temporary).
-uint64_t MaskAndPopcount(const uint64_t* a, const uint64_t* b, size_t words);
-
-/// ORs the nbits-bit bitmap `src` into `dst` starting at dst bit
-/// `bit_offset` (dst must have capacity for bit_offset + nbits bits).
-/// Merges per-slice masks, whose row runs start at arbitrary bit offsets,
-/// into one store-wide bitmap.
-void MaskOrShifted(uint64_t* dst, size_t bit_offset, const uint64_t* src,
-                   size_t nbits);
 
 // --- Keyword kernels -------------------------------------------------------
 
@@ -133,20 +89,6 @@ void MaskOrShifted(uint64_t* dst, size_t bit_offset, const uint64_t* src,
 /// stream::KeywordSetsIntersect. Results are identical at every tier.
 bool AnyKeywordIntersect(const stream::KeywordId* span, size_t span_len,
                          const stream::KeywordId* q, size_t q_len);
-
-/// Per-row keyword-membership bitmap over a slice's keyword column: bit i
-/// set iff the span of row i (resolved against `arena_data`) intersects
-/// the sorted query set. Writes MaskWords(n) words, trailing bits zero.
-void KeywordMatchMask(const stream::KeywordSpan* spans,
-                      const stream::KeywordId* arena_data, size_t n,
-                      const stream::KeywordId* q, size_t q_len,
-                      uint64_t* mask);
-
-/// Gathered-row variant: row_kws[i] is (keyword pointer, length) of row i
-/// (the batch scan paths gather these per cell/leaf).
-void KeywordMatchMask(
-    const std::pair<const stream::KeywordId*, uint32_t>* row_kws, size_t n,
-    const stream::KeywordId* q, size_t q_len, uint64_t* mask);
 
 }  // namespace latest::simd
 

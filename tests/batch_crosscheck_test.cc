@@ -1,10 +1,9 @@
-// Batch-vs-scalar crosscheck: CountMatchesBatch on the grid and inverted
-// index backends and TrueSelectivityBatch on the evaluator must be
-// bit-identical to the per-query scalar path at every kernel tier
-// (scalar, SSE2, AVX2), including degenerate query batches (empty rects,
-// missed grids, empty keyword sets, staggered cutoffs that straddle slice
-// boundaries). The histogram batch-insert path is crosschecked via
-// persisted-state equality.
+// Batch-vs-scalar crosscheck: CountMatchesBatch on the grid backend and
+// TrueSelectivityBatch on the evaluator must be bit-identical to the
+// per-query scalar path at every kernel tier (scalar, SSE2, AVX2),
+// including degenerate query batches (empty rects, missed grids,
+// staggered cutoffs that straddle slice boundaries). The histogram
+// batch-insert path is crosschecked via persisted-state equality.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "estimators/histogram2d_estimator.h"
 #include "exact/exact_evaluator.h"
 #include "exact/grid_index.h"
-#include "exact/inverted_index.h"
 #include "simd/kernels.h"
 #include "stream/sliding_window.h"
 #include "stream/window_store.h"
@@ -91,8 +89,9 @@ std::vector<Query> MakeQueryBatch(size_t k, uint64_t seed) {
   }
   // Production issues queries in stream order: scalar CountMatches evicts
   // lazily at each query's cutoff, so the sequential reference is only
-  // well-defined for non-decreasing cutoffs. The batch path itself is
-  // order-independent (it evicts at the batch minimum).
+  // well-defined for non-decreasing cutoffs. The grid batch pass itself
+  // is order-independent (it evicts at the batch minimum); keyword and
+  // hybrid queries run the scalar path in arrival order.
   std::stable_sort(batch.begin(), batch.end(),
                    [](const Query& a, const Query& b) {
                      return a.timestamp < b.timestamp;
@@ -161,52 +160,19 @@ TEST(BatchCrosscheck, EvaluatorBatchInterleavedWithScalarQueries) {
 TEST(BatchCrosscheck, GridIndexBatchMatchesScalar) {
   const auto objects = MakeUniformObjects(3000, 7, kStreamMs);
   auto batch = MakeQueryBatch(48, 103);
-  // The grid backend only sees spatial predicates in production, but
-  // must also answer hybrid ones (it owns the keyword fallback loop).
+  // The grid batch kernel answers pure-spatial queries only.
   std::vector<const Query*> qs;
   std::vector<Timestamp> cutoffs;
   for (auto& q : batch) {
+    if (q.HasKeywords()) continue;
     qs.push_back(&q);
     cutoffs.push_back(q.timestamp - kStreamMs / 2);
   }
+  ASSERT_GE(qs.size(), 8u);
   ForEachTier([&](simd::KernelTier tier) {
     WindowStore store(kSliceMs);
     GridIndex scalar_index(&store, kBounds, 8, 8);
     GridIndex batch_index(&store, kBounds, 8, 8);
-    for (const auto& obj : objects) {
-      const WindowStore::Row row = store.Append(obj);
-      scalar_index.Insert(row);
-      batch_index.Insert(row);
-    }
-    std::vector<uint64_t> counts(qs.size(), ~uint64_t{0});
-    batch_index.CountMatchesBatch(qs.data(), cutoffs.data(), qs.size(),
-                                  counts.data());
-    for (size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_EQ(counts[i], scalar_index.CountMatches(*qs[i], cutoffs[i]))
-          << "tier=" << simd::KernelTierName(tier) << " query=" << i;
-    }
-  });
-}
-
-TEST(BatchCrosscheck, InvertedIndexBatchMatchesScalar) {
-  const auto objects = MakeUniformObjects(3000, 9, kStreamMs);
-  auto all = MakeQueryBatch(64, 109);
-  // The inverted backend requires a keyword predicate.
-  std::vector<Query> batch;
-  for (auto& q : all) {
-    if (q.HasKeywords()) batch.push_back(std::move(q));
-  }
-  ASSERT_GE(batch.size(), 16u);
-  std::vector<const Query*> qs;
-  std::vector<Timestamp> cutoffs;
-  for (auto& q : batch) {
-    qs.push_back(&q);
-    cutoffs.push_back(q.timestamp - kStreamMs / 2);
-  }
-  ForEachTier([&](simd::KernelTier tier) {
-    WindowStore store(kSliceMs);
-    InvertedIndex scalar_index(&store);
-    InvertedIndex batch_index(&store);
     for (const auto& obj : objects) {
       const WindowStore::Row row = store.Append(obj);
       scalar_index.Insert(row);
@@ -241,27 +207,6 @@ TEST(BatchCrosscheck, TinyAndDegenerateBatches) {
   eval.TrueSelectivityBatch(&all, 1, &pop);
   EXPECT_EQ(pop, eval.TrueSelectivity(all));
   EXPECT_EQ(pop, 500u);
-}
-
-TEST(BatchCrosscheck, EvaluatorBatchObserverFiresPerBackendDispatch) {
-  const auto objects = MakeUniformObjects(200, 11, kStreamMs);
-  ExactEvaluator eval(kBounds, kStreamMs);
-  for (const auto& obj : objects) eval.Insert(obj);
-  std::vector<size_t> sizes;
-  eval.set_batch_observer([&](size_t n) { sizes.push_back(n); });
-  const auto batch = MakeQueryBatch(16, 113);
-  size_t with_kw = 0;
-  for (const auto& q : batch) with_kw += q.HasKeywords() ? 1 : 0;
-  std::vector<uint64_t> counts(batch.size());
-  eval.TrueSelectivityBatch(batch.data(), batch.size(), counts.data());
-  size_t observed = 0;
-  for (const size_t s : sizes) observed += s;
-  EXPECT_EQ(observed, batch.size());
-  // Keyword sub-batch reported first when both backends dispatch.
-  if (with_kw > 0 && with_kw < batch.size()) {
-    ASSERT_EQ(sizes.size(), 2u);
-    EXPECT_EQ(sizes[0], with_kw);
-  }
 }
 
 TEST(BatchCrosscheck, HistogramBatchInsertMatchesScalarState) {

@@ -303,6 +303,23 @@ TEST(LifecycleEventsTest, KernelTierAndBatchSizeMetricsAreExported) {
   ASSERT_NE(sizes, nullptr);
   EXPECT_EQ(sizes->count(), 0u);
 
+  // One OnQueryBatch is one sample of its full size, however the
+  // evaluator splits it between the grid and the inverted index.
+  const auto objects = testing_support::MakeClusteredObjects(400, 14, 500);
+  for (const auto& obj : objects) module.OnObject(obj);
+  const stream::Timestamp t = objects.back().timestamp;
+  const geo::Rect box{10, 10, 60, 60};
+  const std::vector<stream::Query> batch = {
+      testing_support::MakeSpatialQuery(box, t),
+      testing_support::MakeKeywordQuery({1}, t),
+      testing_support::MakeSpatialQuery(testing_support::kTestBounds, t),
+      testing_support::MakeKeywordQuery({2, 3}, t),
+  };
+  std::vector<core::QueryOutcome> outcomes(batch.size());
+  module.OnQueryBatch(batch.data(), batch.size(), outcomes.data());
+  EXPECT_EQ(sizes->count(), 1u);
+  EXPECT_DOUBLE_EQ(sizes->sum(), 4.0);
+
   const std::string text = registry.PrometheusText();
   EXPECT_NE(text.find("latest_kernel_tier"), std::string::npos);
   EXPECT_NE(text.find("latest_batch_size"), std::string::npos);

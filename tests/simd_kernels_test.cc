@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "geo/grid.h"
 #include "geo/point.h"
 #include "geo/rect.h"
-#include "stream/keyword_arena.h"
 #include "stream/object.h"
 #include "util/rng.h"
 
@@ -25,7 +23,6 @@ namespace latest {
 namespace {
 
 using simd::KernelTier;
-using simd::MaskWords;
 
 /// Restores the dispatch tier on scope exit so a failing test cannot
 /// leak a forced tier into later tests.
@@ -103,28 +100,17 @@ TEST(SimdTier, NamesAndClamping) {
   EXPECT_EQ(simd::ActiveTier(), KernelTier::kScalar);
 }
 
-TEST(SimdRect, MaskMatchesScalarReference) {
+TEST(SimdRect, CountMatchesScalarReference) {
   util::Rng rng(7);
   for (size_t n : kSizes) {
     const auto pts = RandomPoints(&rng, n);
     for (int trial = 0; trial < 8; ++trial) {
       const geo::Rect r = RandomRect(&rng);
-      std::vector<uint64_t> expect(MaskWords(n), 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (r.Contains(pts[i])) expect[i / 64] |= uint64_t{1} << (i % 64);
-      }
+      uint64_t expect = 0;
+      for (size_t i = 0; i < n; ++i) expect += r.Contains(pts[i]) ? 1 : 0;
       ForEachTier([&](KernelTier tier) {
-        std::vector<uint64_t> mask(MaskWords(n) + 1, ~uint64_t{0});
-        simd::RectContainMask(pts.data(), n, r, mask.data());
-        for (size_t w = 0; w < MaskWords(n); ++w) {
-          EXPECT_EQ(mask[w], expect[w])
-              << "tier=" << simd::KernelTierName(tier) << " n=" << n
-              << " word=" << w;
-        }
-        // No overwrite past MaskWords(n).
-        EXPECT_EQ(mask[MaskWords(n)], ~uint64_t{0});
-        EXPECT_EQ(simd::RectContainCount(pts.data(), n, r),
-                  simd::MaskPopcount(expect.data(), expect.size()));
+        EXPECT_EQ(simd::RectContainCount(pts.data(), n, r), expect)
+            << "tier=" << simd::KernelTierName(tier) << " n=" << n;
       });
     }
   }
@@ -132,20 +118,22 @@ TEST(SimdRect, MaskMatchesScalarReference) {
 
 TEST(SimdRect, EdgePointsAreClosedOpen) {
   // Points exactly on the min edges are inside, on the max edges outside
-  // (whatever Rect::Contains says, the kernel must agree bit for bit).
+  // (whatever Rect::Contains says, the kernel must agree point for point).
   const geo::Rect r{10, 20, 30, 40};
   const std::vector<geo::Point> pts = {
       {10, 20}, {30, 40}, {10, 40}, {30, 20}, {20, 30},
       {10, 30}, {30, 30}, {20, 20}, {20, 40},
   };
-  std::vector<uint64_t> expect(1, 0);
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (r.Contains(pts[i])) expect[0] |= uint64_t{1} << i;
-  }
+  uint64_t expect = 0;
+  for (const geo::Point& p : pts) expect += r.Contains(p) ? 1 : 0;
   ForEachTier([&](KernelTier tier) {
-    uint64_t mask = ~uint64_t{0};
-    simd::RectContainMask(pts.data(), pts.size(), r, &mask);
-    EXPECT_EQ(mask, expect[0]) << "tier=" << simd::KernelTierName(tier);
+    for (const geo::Point& p : pts) {
+      EXPECT_EQ(simd::RectContainCount(&p, 1, r), r.Contains(p) ? 1u : 0u)
+          << "tier=" << simd::KernelTierName(tier) << " p=(" << p.x << ","
+          << p.y << ")";
+    }
+    EXPECT_EQ(simd::RectContainCount(pts.data(), pts.size(), r), expect)
+        << "tier=" << simd::KernelTierName(tier);
   });
 }
 
@@ -161,9 +149,10 @@ TEST(SimdHistogram, CellIdsMatchGridCellOf) {
       for (size_t i = 0; i < n; ++i) expect[i] = grid.CellOf(pts[i]);
       ForEachTier([&](KernelTier tier) {
         std::vector<uint32_t> cells(n + 1, 0xdeadbeef);
-        simd::HistogramCellIds(pts.data(), n, grid.bounds(),
-                               grid.cell_width(), grid.cell_height(),
-                               grid.cols(), grid.rows(), cells.data());
+        simd::HistogramCellIdsStrided(
+            pts.data(), sizeof(geo::Point), n, grid.bounds(),
+            grid.cell_width(), grid.cell_height(), grid.cols(), grid.rows(),
+            cells.data());
         for (size_t i = 0; i < n; ++i) {
           EXPECT_EQ(cells[i], expect[i])
               << "tier=" << simd::KernelTierName(tier) << " cols=" << d[0]
@@ -221,32 +210,6 @@ TEST(SimdHistogram, StridedCellIdsMatchContiguous) {
   }
 }
 
-TEST(SimdTimestamp, GeMaskMatchesReference) {
-  util::Rng rng(13);
-  for (size_t n : kSizes) {
-    std::vector<stream::Timestamp> ts(n);
-    for (auto& t : ts) {
-      t = static_cast<stream::Timestamp>(rng.NextBounded(1000)) - 500;
-    }
-    const stream::Timestamp cutoffs[] = {
-        std::numeric_limits<stream::Timestamp>::min(), -500, -1, 0, 250,
-        1000, std::numeric_limits<stream::Timestamp>::max()};
-    for (const stream::Timestamp cutoff : cutoffs) {
-      std::vector<uint64_t> expect(MaskWords(n), 0);
-      for (size_t i = 0; i < n; ++i) {
-        if (ts[i] >= cutoff) expect[i / 64] |= uint64_t{1} << (i % 64);
-      }
-      ForEachTier([&](KernelTier tier) {
-        std::vector<uint64_t> mask(MaskWords(n), ~uint64_t{0});
-        simd::TimestampGeMask(ts.data(), n, cutoff, mask.data());
-        EXPECT_EQ(mask, expect)
-            << "tier=" << simd::KernelTierName(tier) << " n=" << n
-            << " cutoff=" << cutoff;
-      });
-    }
-  }
-}
-
 TEST(SimdTimestamp, LowerBoundMatchesStdLowerBound) {
   util::Rng rng(17);
   for (size_t n : kSizes) {
@@ -265,74 +228,6 @@ TEST(SimdTimestamp, LowerBoundMatchesStdLowerBound) {
         EXPECT_EQ(simd::LowerBoundTimestamp(ts.data(), n, cutoff), expect);
       });
     }
-  }
-}
-
-TEST(SimdMask, BitwiseOpsMatchReference) {
-  util::Rng rng(19);
-  for (size_t words : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4},
-                       size_t{9}, size_t{33}}) {
-    std::vector<uint64_t> a(words);
-    std::vector<uint64_t> b(words);
-    for (size_t w = 0; w < words; ++w) {
-      a[w] = rng.Next();
-      b[w] = rng.Next();
-    }
-    uint64_t pop_a = 0;
-    uint64_t pop_and = 0;
-    std::vector<uint64_t> expect_and(words);
-    std::vector<uint64_t> expect_or(words);
-    for (size_t w = 0; w < words; ++w) {
-      expect_and[w] = a[w] & b[w];
-      expect_or[w] = a[w] | b[w];
-      for (int bit = 0; bit < 64; ++bit) {
-        pop_a += (a[w] >> bit) & 1;
-        pop_and += (expect_and[w] >> bit) & 1;
-      }
-    }
-    ForEachTier([&](KernelTier tier) {
-      std::vector<uint64_t> dst = a;
-      simd::MaskAnd(dst.data(), b.data(), words);
-      EXPECT_EQ(dst, expect_and) << "tier=" << simd::KernelTierName(tier);
-      dst = a;
-      simd::MaskOr(dst.data(), b.data(), words);
-      EXPECT_EQ(dst, expect_or) << "tier=" << simd::KernelTierName(tier);
-      EXPECT_EQ(simd::MaskPopcount(a.data(), words), pop_a);
-      EXPECT_EQ(simd::MaskAndPopcount(a.data(), b.data(), words), pop_and);
-    });
-  }
-}
-
-TEST(SimdMask, OrShiftedMatchesBitLoop) {
-  util::Rng rng(23);
-  for (int trial = 0; trial < 200; ++trial) {
-    const size_t nbits = rng.NextBounded(200);
-    const size_t offset = rng.NextBounded(130);
-    std::vector<uint64_t> src(MaskWords(nbits) + 1);
-    for (auto& w : src) w = rng.Next();
-    if (!src.empty()) {
-      // Producer contract: trailing bits of the last in-range word zero.
-      const size_t rem = nbits % 64;
-      if (rem != 0 && MaskWords(nbits) > 0) {
-        src[MaskWords(nbits) - 1] &= (uint64_t{1} << rem) - 1;
-      }
-    }
-    const size_t dst_words = MaskWords(offset + nbits) + 2;
-    std::vector<uint64_t> init(dst_words);
-    for (auto& w : init) w = rng.Next();
-    std::vector<uint64_t> expect = init;
-    for (size_t i = 0; i < nbits; ++i) {
-      if ((src[i / 64] >> (i % 64)) & 1) {
-        const size_t bit = offset + i;
-        expect[bit / 64] |= uint64_t{1} << (bit % 64);
-      }
-    }
-    ForEachTier([&](KernelTier tier) {
-      std::vector<uint64_t> dst = init;
-      simd::MaskOrShifted(dst.data(), offset, src.data(), nbits);
-      EXPECT_EQ(dst, expect) << "tier=" << simd::KernelTierName(tier)
-                             << " nbits=" << nbits << " offset=" << offset;
-    });
   }
 }
 
@@ -367,46 +262,6 @@ TEST(SimdKeyword, AnyIntersectMatchesReference) {
         });
       }
     }
-  }
-}
-
-TEST(SimdKeyword, MatchMaskBothVariantsMatchReference) {
-  util::Rng rng(31);
-  for (size_t n : kSizes) {
-    // Build a fake arena: concatenated sorted spans (some empty).
-    std::vector<stream::KeywordId> arena;
-    std::vector<stream::KeywordSpan> spans(n);
-    std::vector<std::pair<const stream::KeywordId*, uint32_t>> gathered(n);
-    for (size_t i = 0; i < n; ++i) {
-      const auto set = RandomSortedSet(&rng, 20, 60);
-      spans[i].offset = static_cast<uint32_t>(arena.size());
-      spans[i].len = static_cast<uint32_t>(set.size());
-      arena.insert(arena.end(), set.begin(), set.end());
-    }
-    for (size_t i = 0; i < n; ++i) {
-      gathered[i] = {arena.data() + spans[i].offset, spans[i].len};
-    }
-    const auto q = RandomSortedSet(&rng, 4, 60);
-    std::vector<uint64_t> expect(MaskWords(n), 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (stream::KeywordSetsIntersect(arena.data() + spans[i].offset,
-                                       spans[i].len, q.data(), q.size())) {
-        expect[i / 64] |= uint64_t{1} << (i % 64);
-      }
-    }
-    ForEachTier([&](KernelTier tier) {
-      std::vector<uint64_t> mask(MaskWords(n), ~uint64_t{0});
-      simd::KeywordMatchMask(spans.data(), arena.data(), n, q.data(), q.size(),
-                             mask.data());
-      EXPECT_EQ(mask, expect)
-          << "span variant tier=" << simd::KernelTierName(tier) << " n=" << n;
-      std::vector<uint64_t> mask2(MaskWords(n), ~uint64_t{0});
-      simd::KeywordMatchMask(gathered.data(), n, q.data(), q.size(),
-                             mask2.data());
-      EXPECT_EQ(mask2, expect)
-          << "gathered variant tier=" << simd::KernelTierName(tier)
-          << " n=" << n;
-    });
   }
 }
 
