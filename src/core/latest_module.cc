@@ -399,9 +399,9 @@ void LatestModule::SaveStateImpl(util::BinaryWriter* writer,
   writer->WriteBool(monitor_below_prefill_);
   writer->WriteBool(monitor_below_tau_);
 
-  // Lifetime counters: the query ordinal paces the flight recorder and
-  // query-driven SLO evaluation, and the object count backs
-  // objects_ingested(), so both must survive a restart.
+  // Lifetime counters: the query ordinal stamps events and drift
+  // observations, and the object count backs objects_ingested(), so both
+  // must survive a restart.
   writer->WriteU64(objects_counter_->value());
   writer->WriteU64(queries_counter_->value());
   writer->WriteU64(switches_counter_->value());

@@ -151,7 +151,7 @@ struct LatestConfig {
   uint16_t introspection_port = 0;
 
   /// Cadence (ms) of the introspection server's SLO ticker thread; 0
-  /// leaves SLO evaluation purely query-driven.
+  /// starts no ticker.
   uint32_t slo_tick_ms = 1000;
 
   /// Declarative SLO rules (obs/slo_monitor.h) evaluated against the
@@ -159,20 +159,15 @@ struct LatestConfig {
   /// installs obs::DefaultLatestSloRules(tau).
   std::vector<obs::SloRule> slo_rules;
 
-  /// Additionally evaluate the SLO rules every N answered queries on the
-  /// stream thread (0 = ticker only). Query-driven evaluation stamps
-  /// breach events with stream event time instead of 0.
-  uint32_t slo_eval_every_queries = 0;
-
   /// Estimation-quality observability (obs/error_accounting.h,
-  /// obs/drift_detector.h, obs/audit_trail.h, obs/flight_recorder.h).
+  /// obs/drift_detector.h, obs/audit_trail.h).
   /// Strictly observational — none of it feeds lifecycle decisions or
   /// snapshots — so, like the introspection fields above, every member
   /// is EXCLUDED from the SaveState configuration fingerprint.
   struct QualityObs {
     /// Master switch for the whole quality plane (error accounting,
-    /// drift detectors, audit trail, flight recorder; their fixed sizes
-    /// are ModuleObserver constants).
+    /// drift detectors, audit trail; their fixed sizes are
+    /// ModuleObserver constants).
     bool enabled = true;
     /// Detector parameters for every monitored drift series (Page-Hinkley
     /// slack/threshold, AdwinLite confidence/window, cooldown). The
@@ -180,9 +175,6 @@ struct LatestConfig {
     /// against these knobs; like everything else in the quality plane
     /// they are observational and fingerprint-excluded.
     obs::DriftMonitor::Options drift;
-    /// When non-empty, an SLO-degradation edge automatically dumps a
-    /// postmortem bundle into this directory.
-    std::string postmortem_dir;
   } quality;
 
   /// Seed for all randomized components.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/latest_module.h"
-#include "obs/span.h"
 #include "simd/kernels.h"
 
 namespace latest::core {
@@ -40,14 +39,6 @@ ModuleObserver::ModuleObserver(const LatestModule& module,
   audit_trail_ = std::make_unique<obs::SwitchAuditTrail>(
       kAuditCapacity, kAuditResolutionWindow);
   audit_trail_->AttachMetrics(&registry);
-  obs::FlightRecorder::Options flight_options;
-  flight_options.capacity = kFlightFrames;
-  flight_recorder_ =
-      std::make_unique<obs::FlightRecorder>(std::move(flight_options));
-  flight_recorder_->AttachMetrics(&registry);
-  flight_recorder_->AttachEventLog(&telemetry_.events());
-  flight_recorder_->AttachAuditTrail(audit_trail_.get());
-  flight_recorder_->AttachSpans(obs::GetSpanCollector());
   measured_.reserve(estimators::kNumEstimatorKinds + 1);
 }
 
@@ -116,7 +107,6 @@ util::Status ModuleObserver::StartIntrospection() {
   sources.errors = error_accountant_.get();
   sources.drift = drift_monitor_.get();
   sources.audit = audit_trail_.get();
-  sources.flight = flight_recorder_.get();
   obs::IntrospectionInfo info;
   info.tau = config.tau;
   info.prefill_threshold = config.PrefillThreshold();
@@ -257,11 +247,11 @@ void ModuleObserver::OnQueryFinished(const QueryOutcome& outcome,
     if (histogram != nullptr) histogram->Observe(outcome.latency_ms);
   }
 
-  const auto now = static_cast<int64_t>(module_.clock_.now());
   // Quality plane: fold every ground-truth measurement into the error
   // accountant, feed the active estimator's smoothed error to drift
   // detection, and advance pending switch-audit resolution windows.
   if (error_accountant_ != nullptr) {
+    const auto now = static_cast<int64_t>(module_.clock_.now());
     const double actual = static_cast<double>(outcome.actual);
     measured_.clear();
     for (const auto& m : outcome.measurements) {
@@ -278,31 +268,7 @@ void ModuleObserver::OnQueryFinished(const QueryOutcome& outcome,
         error_accountant_->EwmaRelativeError(outcome.active), now,
         ordinal + 1);
     audit_trail_->ResolveQuery(measured_);
-    if ((ordinal + 1) % kFlightTickEveryQueries == 0) {
-      flight_recorder_->Tick(now, ordinal + 1);
-    }
   }
-
-  // Query-driven SLO evaluation: stamps breach events with stream event
-  // time (the server's ticker thread stamps 0).
-  const uint32_t slo_every = module_.config().slo_eval_every_queries;
-  if (slo_every > 0 && (ordinal + 1) % slo_every == 0) {
-    slo_monitor_->EvaluateAll(now);
-  }
-
-  // Postmortem on the healthy -> degraded edge (one bundle per episode,
-  // not per breached tick). Requires a configured directory.
-  const bool degraded_now = slo_monitor_->degraded();
-  if (degraded_now && !was_degraded_ && flight_recorder_ != nullptr &&
-      !module_.config().quality.postmortem_dir.empty()) {
-    const util::Result<std::string> written = DumpPostmortem("slo_breach");
-    if (!written.ok()) {
-      obs::Event event = module_.MakeEvent(obs::EventType::kPostmortemFailed);
-      event.note = written.status().message();
-      telemetry_.events().Append(event);
-    }
-  }
-  was_degraded_ = degraded_now;
 }
 
 void ModuleObserver::OnSwitch(const stream::Query& q,
@@ -334,38 +300,6 @@ void ModuleObserver::OnSwitch(const stream::Query& q,
   entry.recommended_estimator = static_cast<int32_t>(recommended);
   entry.monitor_accuracy = module_.accuracy_monitor_.Mean();
   audit_trail_->Record(std::move(entry), estimators::kNumEstimatorKinds);
-}
-
-util::Result<std::string> ModuleObserver::DumpPostmortem(
-    const std::string& reason, std::string dir) {
-  if (flight_recorder_ == nullptr) {
-    return util::Status::InvalidArgument(
-        "quality observability is disabled (config.quality.enabled)");
-  }
-  if (dir.empty()) dir = module_.config().quality.postmortem_dir;
-  if (dir.empty()) {
-    return util::Status::InvalidArgument(
-        "no postmortem directory configured");
-  }
-  // Capture a final frame so the bundle always includes the state at the
-  // moment of the trigger, not just the last periodic tick.
-  flight_recorder_->Tick(static_cast<int64_t>(module_.clock_.now()),
-                         module_.queries_answered());
-  std::vector<std::string> annotations;
-  annotations.push_back(std::string("phase=") + PhaseName(module_.phase()));
-  annotations.push_back(std::string("active_estimator=") +
-                        estimators::EstimatorKindName(module_.active_kind()));
-  for (const std::string& rule : slo_monitor_->BreachedRules()) {
-    annotations.push_back("breached_rule=" + rule);
-  }
-  util::Result<std::string> written =
-      flight_recorder_->WriteBundle(dir, reason, annotations);
-  if (written.ok()) {
-    obs::Event event = module_.MakeEvent(obs::EventType::kPostmortemDumped);
-    event.note = reason;
-    telemetry_.events().Append(event);
-  }
-  return written;
 }
 
 }  // namespace latest::core

@@ -2,10 +2,9 @@
 //
 // LatestModule (core/latest_module.h) is the paper's Section V state
 // machine. Its metrics, the estimation-quality plane (error accounting,
-// drift detection, switch audit, flight recorder), the SLO monitor with
-// its postmortem-on-degrade edge, and the introspection server live here,
-// behind four hooks the module calls: OnIngest, OnSliceRotated,
-// OnQueryFinished and OnSwitch.
+// drift detection, switch audit), the SLO monitor, and the introspection
+// server live here, behind four hooks the module calls: OnIngest,
+// OnSliceRotated, OnQueryFinished and OnSwitch.
 //
 // The observer reads module state through a const reference and never
 // writes it, so observability cannot change the lifecycle: outcomes and
@@ -26,7 +25,6 @@
 #include "obs/audit_trail.h"
 #include "obs/drift_detector.h"
 #include "obs/error_accounting.h"
-#include "obs/flight_recorder.h"
 #include "obs/slo_monitor.h"
 #include "obs/statusz.h"
 #include "obs/telemetry.h"
@@ -45,10 +43,6 @@ class ModuleObserver {
   /// Switch-audit ring capacity and counterfactual window (queries).
   static constexpr uint32_t kAuditCapacity = 256;
   static constexpr uint32_t kAuditResolutionWindow = 32;
-  /// Flight-recorder frames retained, and the frame cadence in answered
-  /// queries.
-  static constexpr uint32_t kFlightFrames = 120;
-  static constexpr uint32_t kFlightTickEveryQueries = 64;
 
   /// Registers the observational metrics in `telemetry`, builds the SLO
   /// monitor and, when config().quality.enabled, the quality plane.
@@ -84,12 +78,6 @@ class ModuleObserver {
   /// Re-publishes every gauge from module state (after LoadState).
   void Resync();
 
-  /// Dumps a flight-recorder postmortem bundle into `dir` (defaults to
-  /// config().quality.postmortem_dir). Returns the bundle path. Fails
-  /// when the quality plane is disabled or the directory is unusable.
-  util::Result<std::string> DumpPostmortem(const std::string& reason,
-                                           std::string dir = "");
-
   /// Declarative SLO monitor over the module's registry (always present;
   /// rules come from LatestConfig::slo_rules or the defaults).
   obs::SloMonitor& slo_monitor() { return *slo_monitor_; }
@@ -102,7 +90,6 @@ class ModuleObserver {
   obs::ErrorAccountant* error_accountant() { return error_accountant_.get(); }
   obs::DriftMonitor* drift_monitor() { return drift_monitor_.get(); }
   obs::SwitchAuditTrail* audit_trail() { return audit_trail_.get(); }
-  obs::FlightRecorder* flight_recorder() { return flight_recorder_.get(); }
 
  private:
   void RegisterMetrics();
@@ -129,14 +116,11 @@ class ModuleObserver {
   obs::Histogram* model_stage_histogram_ = nullptr;
 
   std::unique_ptr<obs::SloMonitor> slo_monitor_;
-  /// SLO-degradation edge for automatic postmortem dumps.
-  bool was_degraded_ = false;
 
   /// Estimation-quality plane (null when quality.enabled is false).
   std::unique_ptr<obs::ErrorAccountant> error_accountant_;
   std::unique_ptr<obs::DriftMonitor> drift_monitor_;
   std::unique_ptr<obs::SwitchAuditTrail> audit_trail_;
-  std::unique_ptr<obs::FlightRecorder> flight_recorder_;
 
   /// Drift series handles, resolved once at construction.
   std::array<obs::DriftMonitor::SeriesId, estimators::kNumEstimatorKinds>

@@ -34,10 +34,6 @@ const char* EventTypeName(EventType type) {
       return "slo_recovered";
     case EventType::kDriftDetected:
       return "drift_detected";
-    case EventType::kPostmortemDumped:
-      return "postmortem_dumped";
-    case EventType::kPostmortemFailed:
-      return "postmortem_failed";
   }
   return "unknown";
 }
@@ -58,8 +54,6 @@ EventSeverity SeverityOf(EventType type) {
       return EventSeverity::kWarning;
     case EventType::kModelReset:
     case EventType::kSloBreached:
-    case EventType::kPostmortemDumped:
-    case EventType::kPostmortemFailed:
       return EventSeverity::kError;
   }
   return EventSeverity::kInfo;
@@ -267,20 +261,6 @@ std::string FormatEvent(const Event& event) {
                     static_cast<long long>(event.timestamp),
                     static_cast<unsigned long long>(event.query_count),
                     event.note.c_str(), event.detail);
-      break;
-    case EventType::kPostmortemDumped:
-      std::snprintf(line, sizeof(line),
-                    "[t=%lld q=%llu] postmortem_dumped reason=%s",
-                    static_cast<long long>(event.timestamp),
-                    static_cast<unsigned long long>(event.query_count),
-                    event.note.c_str());
-      break;
-    case EventType::kPostmortemFailed:
-      std::snprintf(line, sizeof(line),
-                    "[t=%lld q=%llu] postmortem_failed error=%s",
-                    static_cast<long long>(event.timestamp),
-                    static_cast<unsigned long long>(event.query_count),
-                    event.note.c_str());
       break;
   }
   return line;

@@ -50,11 +50,6 @@ enum class EventType : uint32_t {
   /// A drift detector fired over an error or ingest-feature series
   /// (obs/drift_detector.h). `note` names the series.
   kDriftDetected = 11,
-  /// The flight recorder wrote a postmortem bundle; `note` holds the
-  /// trigger reason ("slo_breach", "signal", "shutdown", ...).
-  kPostmortemDumped = 12,
-  /// An automatic postmortem dump failed; `note` holds the error.
-  kPostmortemFailed = 13,
 };
 
 /// Stable display name ("phase_changed", "prefill_started", ...).

@@ -148,16 +148,7 @@ std::string Profiler::CollectFolded(double seconds) {
     std::this_thread::yield();
   }
   sigaction(SIGPROF, &previous, nullptr);
-
-  last_samples_.store(produced, std::memory_order_relaxed);
-  collections_.fetch_add(1, std::memory_order_relaxed);
-
-  std::string folded = Symbolize(produced);
-  if (!folded.empty()) {
-    std::lock_guard<std::mutex> lock(last_mu_);
-    last_folded_ = folded;
-  }
-  return folded;
+  return Symbolize(produced);
 }
 
 std::string Profiler::Symbolize(size_t produced) {
@@ -228,11 +219,6 @@ std::string Profiler::Symbolize(size_t produced) {
     out += "\n";
   }
   return out;
-}
-
-std::string Profiler::LastFolded() const {
-  std::lock_guard<std::mutex> lock(last_mu_);
-  return last_folded_;
 }
 
 }  // namespace latest::obs

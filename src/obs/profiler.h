@@ -61,20 +61,6 @@ class Profiler {
   /// Blocks the calling thread for the whole window.
   std::string CollectFolded(double seconds);
 
-  /// The most recent non-empty CollectFolded result (for postmortem
-  /// bundles, which must not block for a sampling window).
-  std::string LastFolded() const;
-
-  /// Samples recorded by the most recent collection.
-  uint64_t last_sample_count() const {
-    return last_samples_.load(std::memory_order_relaxed);
-  }
-
-  /// Collections completed over the profiler's lifetime.
-  uint64_t collections() const {
-    return collections_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Sample {
     int32_t depth = 0;
@@ -91,16 +77,11 @@ class Profiler {
   std::atomic<bool> armed_{false};
 
   std::mutex collect_mu_;  // One collection at a time.
-  mutable std::mutex last_mu_;
-  std::string last_folded_;
-  std::atomic<uint64_t> last_samples_{0};
-  std::atomic<uint64_t> collections_{0};
 };
 
 /// Installs (or clears, with null) the process-global profiler used by
-/// /profilez and postmortem bundles. The caller keeps ownership; the
-/// SIGPROF handler consults this pointer, so clear it before
-/// destruction.
+/// /profilez. The caller keeps ownership; the SIGPROF handler consults
+/// this pointer, so clear it before destruction.
 void SetProfiler(Profiler* profiler);
 Profiler* GetProfiler();
 

@@ -12,10 +12,9 @@
 // `latest_slo_degraded` gauge that /healthz serves.
 //
 // Evaluation is pull-based and thread-safe: call EvaluateAll from a
-// ticker thread (the introspection server does this), from the stream
-// thread every N queries, or from a test — rules see the same registry
-// either way. Reading a missing series is not an error; the rule reports
-// "no data" and does not breach.
+// ticker thread (the introspection server does this) or from a test —
+// rules see the same registry either way. Reading a missing series is
+// not an error; the rule reports "no data" and does not breach.
 
 #ifndef LATEST_OBS_SLO_MONITOR_H_
 #define LATEST_OBS_SLO_MONITOR_H_

@@ -14,7 +14,6 @@
 #include "obs/drift_detector.h"
 #include "obs/error_accounting.h"
 #include "obs/event_log.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
 #include "obs/request_trace.h"

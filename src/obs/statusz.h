@@ -44,7 +44,6 @@ namespace latest::obs {
 class DriftMonitor;
 class ErrorAccountant;
 class EventLog;
-class FlightRecorder;
 class MetricsRegistry;
 class SloMonitor;
 class SwitchAuditTrail;
@@ -59,7 +58,6 @@ struct IntrospectionSources {
   ErrorAccountant* errors = nullptr;
   DriftMonitor* drift = nullptr;
   SwitchAuditTrail* audit = nullptr;
-  FlightRecorder* flight = nullptr;
   // Spans (/tracez), request waterfalls (/requestz), and the sampling
   // profiler (/profilez) are read through their process-global accessors
   // (obs/span.h, obs/request_trace.h, obs/profiler.h) at request time,

@@ -73,8 +73,8 @@ JsonValue JsonValue::MakeObject(
 namespace {
 
 /// Recursive-descent parser over a string_view; tracks a byte offset for
-/// error messages and bounds recursion depth (hostile inputs reach us
-/// through operator-supplied bundle files).
+/// error messages and bounds recursion depth, so a malformed document
+/// fails instead of overflowing the stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}

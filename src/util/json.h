@@ -1,13 +1,11 @@
 // Minimal JSON document model and recursive-descent parser.
 //
-// The observability plane emits several JSON documents (metrics
-// exposition, healthz verdicts, flight-recorder postmortem bundles) that
-// in-repo consumers — the latest_postmortem inspector and the tests that
-// assert bundle well-formedness — need to read back. This is a small,
-// dependency-free DOM: numbers are doubles, objects preserve insertion
-// order, and parse errors report byte offsets. It is not a streaming
-// parser and not built for huge documents; postmortem bundles are a few
-// hundred kilobytes at most.
+// The observability plane emits JSON documents (the /switchz audit
+// trail, the /requestz waterfall) that the tests read back to assert
+// their well-formedness. This is a small, dependency-free DOM: numbers
+// are doubles, objects preserve insertion order, and parse errors report
+// byte offsets. It is not a streaming parser and not built for huge
+// documents; the pages it reads are a few hundred kilobytes at most.
 
 #ifndef LATEST_UTIL_JSON_H_
 #define LATEST_UTIL_JSON_H_

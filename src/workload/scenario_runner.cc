@@ -22,8 +22,7 @@ using core::QueryOutcome;
 /// decision, shadow mode measures the whole portfolio per query, and
 /// the short pre-train/hysteresis windows reach the incremental phase
 /// within laptop-scale streams.
-LatestConfig MakeConfig(const ScenarioSpec& spec,
-                        const ScenarioRunOptions& options) {
+LatestConfig MakeConfig(const ScenarioSpec& spec) {
   LatestConfig config;
   config.bounds = spec.bounds;
   config.window.window_length_ms = 1000;
@@ -42,9 +41,6 @@ LatestConfig MakeConfig(const ScenarioSpec& spec,
   // threshold misses. 0.35 catches them while staying ~100x above the
   // stationary ingest series' noise excursions (sigma^2 / (2 delta)).
   config.quality.drift.ph_lambda = 0.35;
-  if (!options.postmortem_dir.empty()) {
-    config.quality.postmortem_dir = options.postmortem_dir;
-  }
   return config;
 }
 
@@ -108,12 +104,11 @@ bool ScenarioOutcome::AllRecovered() const {
   return true;
 }
 
-util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
-                                          const ScenarioRunOptions& options) {
+util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry) {
   const ScenarioSpec& spec = entry.spec;
   LATEST_RETURN_IF_ERROR(spec.Validate());
 
-  const LatestConfig config = MakeConfig(spec, options);
+  const LatestConfig config = MakeConfig(spec);
   auto created = LatestModule::Create(config);
   if (!created.ok()) return created.status();
   std::unique_ptr<LatestModule> module = std::move(created).value();
@@ -283,11 +278,6 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
   util::BinaryWriter state;
   module->SaveDeterministicState(&state);
   outcome.state_crc = persist::Crc32(state.buffer());
-
-  if (!options.postmortem_dir.empty()) {
-    const auto written = module->observer().DumpPostmortem("scenario");
-    if (!written.ok()) return written.status();
-  }
 
   // ---- Acceptance gates ----
   const ScenarioGate& gate = outcome.gate;

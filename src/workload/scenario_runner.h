@@ -35,12 +35,6 @@
 
 namespace latest::workload {
 
-struct ScenarioRunOptions {
-  /// When non-empty, arms the flight recorder and dumps a "scenario"
-  /// postmortem bundle at the end of the run.
-  std::string postmortem_dir;
-};
-
 /// Per-injection verdict of one replay.
 struct InjectionOutcome {
   DriftInjection injection;
@@ -109,9 +103,7 @@ struct ScenarioOutcome {
 
 /// Replays one scenario end-to-end. Fails with InvalidArgument on a bad
 /// spec and propagates module-creation errors.
-util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry,
-                                          const ScenarioRunOptions& options =
-                                              ScenarioRunOptions());
+util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry);
 
 /// The single-line RESULT_JSON payload (without the "RESULT_JSON "
 /// prefix) for dashboards, CI gates, and bench_regress tolerance bands.

@@ -291,7 +291,7 @@ TEST(LifecycleEventsTest, KernelTierAndBatchSizeMetricsAreExported) {
   MetricsRegistry& registry = module.telemetry().registry();
 
   // The dispatch tier is resolved once at startup; the gauge mirrors it
-  // so /statusz and postmortems show which kernel path served traffic.
+  // so /metrics and /vars show which kernel path served traffic.
   const Gauge* tier = registry.FindGauge("latest_kernel_tier");
   ASSERT_NE(tier, nullptr);
   EXPECT_EQ(tier->value(),

@@ -1,10 +1,8 @@
 // Estimation-quality observability: per-estimator error accounting,
 // the switch-decision audit trail with post-hoc counterfactuals, the
-// flight recorder's self-describing postmortem bundles, the /statusz
-// severity filter and /switchz page — and the acceptance scenario from
-// the issue: an injected mid-stream workload flip must produce
-// kDriftDetected events, an audited switch explaining the decision, and
-// a bundle that parses back.
+// /statusz severity filter and /switchz page — and the acceptance
+// scenario: an injected mid-stream workload flip must produce
+// kDriftDetected events and an audited switch explaining the decision.
 
 #include <cstdint>
 #include <memory>
@@ -18,11 +16,9 @@
 #include "obs/audit_trail.h"
 #include "obs/error_accounting.h"
 #include "obs/event_log.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/slo_monitor.h"
 #include "obs/statusz.h"
-#include "persist/file_io.h"
 #include "stream/object.h"
 #include "stream/query.h"
 #include "tests/test_http_client.h"
@@ -36,7 +32,6 @@ namespace {
 
 using obs::ErrorAccountant;
 using obs::EstimatorErrorStats;
-using obs::FlightRecorder;
 using obs::SwitchAuditEntry;
 using obs::SwitchAuditTrail;
 using estimators::EstimatorKind;
@@ -196,103 +191,6 @@ TEST(SwitchAuditTrailTest, UnmeasuredChosenKindCountsNoRegret) {
 }
 
 // ---------------------------------------------------------------------
-// FlightRecorder
-// ---------------------------------------------------------------------
-
-TEST(FlightRecorderTest, BundleParsesAndCountersAreDeltas) {
-  obs::MetricsRegistry registry;
-  obs::Counter* queries =
-      registry.GetCounter("latest_queries_total", "test");
-  obs::Gauge* accuracy =
-      registry.GetGauge("latest_monitor_accuracy", "test");
-  obs::EventLog events(16);
-
-  FlightRecorder::Options options;
-  options.capacity = 4;
-  FlightRecorder recorder(options);
-  recorder.AttachMetrics(&registry);
-  recorder.AttachEventLog(&events);
-
-  queries->Increment(10);
-  accuracy->Set(0.9);
-  recorder.Tick(/*timestamp=*/1000, /*query_count=*/10);
-  queries->Increment(5);
-  accuracy->Set(0.7);
-  recorder.Tick(/*timestamp=*/2000, /*query_count=*/15);
-  EXPECT_EQ(recorder.frames(), 2u);
-
-  const std::string json =
-      recorder.DumpJson("manual", {"scenario=unit_test"});
-  const util::Result<util::JsonValue> parsed = util::ParseJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const util::JsonValue& doc = parsed.value();
-
-  EXPECT_EQ(doc.Get("bundle").AsString(), "latest_postmortem");
-  EXPECT_EQ(doc.Get("version").AsInt(), obs::kPostmortemBundleVersion);
-  EXPECT_EQ(doc.Get("reason").AsString(), "manual");
-  ASSERT_EQ(doc.Get("annotations").size(), 1u);
-  EXPECT_EQ(doc.Get("annotations").At(0).AsString(), "scenario=unit_test");
-
-  ASSERT_EQ(doc.Get("frames").size(), 2u);
-  const util::JsonValue& first = doc.Get("frames").At(0);
-  const util::JsonValue& second = doc.Get("frames").At(1);
-  EXPECT_EQ(first.Get("t").AsInt(), 1000);
-  EXPECT_EQ(second.Get("q").AsInt(), 15);
-  // First frame reports the lifetime counter; the second only the delta.
-  EXPECT_DOUBLE_EQ(
-      first.Get("samples").Get("latest_queries_total#delta").AsDouble(),
-      10.0);
-  EXPECT_DOUBLE_EQ(
-      second.Get("samples").Get("latest_queries_total#delta").AsDouble(),
-      5.0);
-  // Gauges stay absolute.
-  EXPECT_DOUBLE_EQ(
-      second.Get("samples").Get("latest_monitor_accuracy").AsDouble(), 0.7);
-}
-
-TEST(FlightRecorderTest, RingKeepsNewestFrames) {
-  obs::MetricsRegistry registry;
-  registry.GetGauge("latest_g", "test")->Set(1.0);
-  FlightRecorder::Options options;
-  options.capacity = 3;
-  FlightRecorder recorder(options);
-  recorder.AttachMetrics(&registry);
-  for (int i = 0; i < 10; ++i) {
-    recorder.Tick(/*timestamp=*/i, /*query_count=*/static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(recorder.frames(), 3u);
-  const util::Result<util::JsonValue> parsed =
-      util::ParseJson(recorder.DumpJson("manual"));
-  ASSERT_TRUE(parsed.ok());
-  const util::JsonValue& frames = parsed.value().Get("frames");
-  ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames.At(0).Get("t").AsInt(), 7);  // Oldest retained.
-  EXPECT_EQ(frames.At(2).Get("t").AsInt(), 9);
-}
-
-TEST(FlightRecorderTest, WriteBundleProducesParseableFile) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("latest_c", "test")->Increment(3);
-  FlightRecorder recorder;
-  recorder.AttachMetrics(&registry);
-  recorder.Tick(1, 1);
-
-  const std::string dir = ::testing::TempDir() + "/flight_recorder_test";
-  const util::Result<std::string> path =
-      recorder.WriteBundle(dir, "slo_breach", {"rule=monitor_accuracy"});
-  ASSERT_TRUE(path.ok()) << path.status().ToString();
-  EXPECT_NE(path.value().find("postmortem-slo_breach-1.json"),
-            std::string::npos);
-  EXPECT_EQ(recorder.bundles_written(), 1u);
-
-  std::string contents;
-  ASSERT_TRUE(persist::ReadFile(path.value(), &contents).ok());
-  const util::Result<util::JsonValue> parsed = util::ParseJson(contents);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().Get("reason").AsString(), "slo_breach");
-}
-
-// ---------------------------------------------------------------------
 // /statusz severity filter and /switchz
 // ---------------------------------------------------------------------
 
@@ -427,7 +325,7 @@ stream::Query FlippableQuery(util::Rng* rng, bool flipped) {
   return q;
 }
 
-TEST(QualityObsAcceptanceTest, WorkloadFlipIsDetectedExplainedAndDumpable) {
+TEST(QualityObsAcceptanceTest, WorkloadFlipIsDetectedAndExplained) {
   core::LatestConfig config;
   config.bounds = testing_support::kTestBounds;
   config.window.window_length_ms = 1000;
@@ -488,34 +386,6 @@ TEST(QualityObsAcceptanceTest, WorkloadFlipIsDetectedExplainedAndDumpable) {
   // (3) Error accounting saw every shadow-measured kind.
   ASSERT_NE(module->observer().error_accountant(), nullptr);
   EXPECT_GE(module->observer().error_accountant()->AllStats().size(), 2u);
-
-  // (4) A postmortem bundle dumps and parses, and carries the drift
-  // events and audit entries.
-  const std::string dir = ::testing::TempDir() + "/quality_obs_acceptance";
-  const util::Result<std::string> path =
-      module->observer().DumpPostmortem("manual", dir);
-  ASSERT_TRUE(path.ok()) << path.status().ToString();
-  std::string contents;
-  ASSERT_TRUE(persist::ReadFile(path.value(), &contents).ok());
-  const util::Result<util::JsonValue> parsed = util::ParseJson(contents);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const util::JsonValue& doc = parsed.value();
-  EXPECT_EQ(doc.Get("version").AsInt(), obs::kPostmortemBundleVersion);
-  EXPECT_GT(doc.Get("frames").size(), 0u);
-  EXPECT_GT(doc.Get("audit").size(), 0u);
-  bool saw_drift_event = false;
-  for (const util::JsonValue& event : doc.Get("events").items()) {
-    saw_drift_event =
-        saw_drift_event || event.Get("type").AsString() == "drift_detected";
-  }
-  EXPECT_TRUE(saw_drift_event);
-
-  // kPostmortemDumped landed in the event log.
-  EXPECT_EQ(module->telemetry()
-                .events()
-                .SnapshotOfType(obs::EventType::kPostmortemDumped)
-                .size(),
-            1u);
 }
 
 TEST(QualityObsConfigTest, DisabledQualityObsMeansNullComponents) {
@@ -530,11 +400,7 @@ TEST(QualityObsConfigTest, DisabledQualityObsMeansNullComponents) {
   EXPECT_EQ(module->observer().error_accountant(), nullptr);
   EXPECT_EQ(module->observer().drift_monitor(), nullptr);
   EXPECT_EQ(module->observer().audit_trail(), nullptr);
-  EXPECT_EQ(module->observer().flight_recorder(), nullptr);
   EXPECT_EQ(module->observer().introspection(), nullptr);
-  const util::Result<std::string> dump =
-      module->observer().DumpPostmortem("manual");
-  EXPECT_FALSE(dump.ok());
 }
 
 TEST(QualityObsConfigTest, ObservabilityNeverChangesTheLifecycle) {
@@ -621,51 +487,6 @@ TEST(QualityObsConfigTest, ObservabilityNeverChangesTheLifecycle) {
     modules[m]->SaveDeterministicState(&got);
     EXPECT_EQ(got.buffer(), want.buffer()) << "module " << m;
   }
-}
-
-TEST(QualityObsConfigTest, FailedAutomaticPostmortemIsLogged) {
-  // A regular file blocks the postmortem directory, so the dump on the
-  // healthy -> degraded edge cannot be written.
-  const std::string blocker = ::testing::TempDir() + "/postmortem_blocker";
-  ASSERT_TRUE(persist::AtomicWriteFile(blocker, "not a directory").ok());
-  core::LatestConfig config;
-  config.bounds = testing_support::kTestBounds;
-  config.window.window_length_ms = 1000;
-  config.window.num_slices = 10;
-  config.quality.postmortem_dir = blocker + "/bundles";
-  config.slo_eval_every_queries = 1;
-  obs::SloRule always_breached;
-  always_breached.name = "always_breached";
-  always_breached.metric = "latest_queries_total";
-  always_breached.source = obs::SloRule::Source::kCounter;
-  always_breached.op = obs::SloRule::Op::kAbove;
-  always_breached.threshold = 0.0;
-  config.slo_rules = {always_breached};
-  auto created = core::LatestModule::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-  core::LatestModule* module = created.value().get();
-
-  const auto objects = testing_support::MakeClusteredObjects(2000, 3, 1500);
-  for (const auto& obj : objects) {
-    module->OnObject(obj);
-    if (obj.oid % 50 != 0) continue;
-    stream::Query q = testing_support::MakeSpatialQuery({20, 20, 40, 40});
-    q.timestamp = obj.timestamp;
-    module->OnQuery(q);
-  }
-  ASSERT_GT(module->queries_answered(), 1u);
-  EXPECT_TRUE(module->observer().slo_monitor().degraded());
-
-  const obs::EventLog& events = module->telemetry().events();
-  const std::vector<obs::Event> failed =
-      events.SnapshotOfType(obs::EventType::kPostmortemFailed);
-  ASSERT_EQ(failed.size(), 1u);
-  EXPECT_FALSE(failed.front().note.empty());
-  EXPECT_EQ(obs::SeverityOf(obs::EventType::kPostmortemFailed),
-            obs::EventSeverity::kError);
-  EXPECT_NE(obs::FormatEvent(failed.front()).find("postmortem_failed"),
-            std::string::npos);
-  EXPECT_TRUE(events.SnapshotOfType(obs::EventType::kPostmortemDumped).empty());
 }
 
 }  // namespace

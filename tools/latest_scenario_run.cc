@@ -9,11 +9,11 @@
 // Exit codes: 0 = gates passed, 1 = flag/spec/IO error, 3 = one or more
 // acceptance gates failed (the failures are listed in the JSON and on
 // stderr). The CI scenario matrix runs each catalog scenario through
-// this binary and archives the --postmortem-dir bundle on failure.
+// this binary.
 //
 // Usage:
 //   latest_scenario_run --scenario NAME [--objects N] [--duration MS]
-//                       [--seed S] [--postmortem-dir DIR]
+//                       [--seed S]
 //   latest_scenario_run --list
 
 #include <cstdio>
@@ -33,7 +33,6 @@ struct Options {
   uint64_t objects = 16000;
   int64_t duration_ms = 8000;
   uint64_t seed = 5;
-  std::string postmortem_dir;
 };
 
 [[noreturn]] void Die(const std::string& message) {
@@ -59,8 +58,6 @@ Options ParseArgs(int argc, char** argv) {
       options.duration_ms = std::strtoll(value().c_str(), nullptr, 10);
     } else if (arg == "--seed") {
       options.seed = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--postmortem-dir") {
-      options.postmortem_dir = value();
     } else {
       Die("unknown flag: " + arg);
     }
@@ -88,10 +85,7 @@ int main(int argc, char** argv) {
       options.scenario, options.objects, options.duration_ms, options.seed);
   if (!entry.ok()) Die(entry.status().ToString());
 
-  latest::workload::ScenarioRunOptions run_options;
-  run_options.postmortem_dir = options.postmortem_dir;
-
-  auto outcome = latest::workload::RunScenario(*entry, run_options);
+  auto outcome = latest::workload::RunScenario(*entry);
   if (!outcome.ok()) Die(outcome.status().ToString());
 
   latest::tools::ResultJson::PrintResultJsonLine(

@@ -26,8 +26,7 @@
 // installs the request-tracing plane: a process-global span collector
 // (per-request trace trees on /tracez?dump, linked across the IO and
 // batch threads), the request waterfall store (/requestz), and the
-// SIGPROF sampling self-profiler (/profilez?seconds=N), whose latest
-// profile rides along in flight-recorder postmortem bundles.
+// SIGPROF sampling self-profiler (/profilez?seconds=N).
 //
 // The daemon prints `SERVE_READY port=<port>` once accepting, runs
 // until SIGINT/SIGTERM, then drains admitted work and prints one
@@ -165,9 +164,8 @@ int main(int argc, char** argv) {
   const Options options = ParseArgs(argc, argv);
   const LatestConfig config = MakeConfig(options);
 
-  // Install the tracing plane before the module exists: the module's
-  // flight recorder attaches the process-global span collector at
-  // Create, so the collector must already be in place.
+  // Install the tracing plane: the serve threads, /tracez and /profilez
+  // read the process-global span collector and profiler.
   std::unique_ptr<latest::obs::SpanCollector> spans;
   if (options.span_capacity > 0) {
     spans = std::make_unique<latest::obs::SpanCollector>(
@@ -205,11 +203,6 @@ int main(int argc, char** argv) {
   // Arm the serve-plane SLO rules next to the module's defaults.
   for (const latest::obs::SloRule& rule : latest::obs::ServeSloRules()) {
     module->observer().slo_monitor().AddRule(rule);
-  }
-
-  // Postmortem bundles carry the latest folded CPU profile.
-  if (profiler != nullptr && module->observer().flight_recorder() != nullptr) {
-    module->observer().flight_recorder()->AttachProfiler(profiler.get());
   }
 
   std::unique_ptr<latest::persist::CheckpointManager> manager;

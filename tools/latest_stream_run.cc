@@ -31,12 +31,8 @@
 // the `flip` scenario with its abrupt cluster + vocabulary jump pinned
 // at object N.
 //
-// Postmortems: --postmortem-dir DIR arms the flight recorder — a bundle
-// is dumped there on a fatal signal (SIGSEGV/SIGABRT/SIGBUS/SIGFPE), on
-// an SLO breach mid-run (the module dumps on the healthy -> degraded
-// edge), and at shutdown ("shutdown" reason) so every run leaves a
-// parseable trace. When the module is still degraded at shutdown the
-// process exits 2 (distinguishable from flag errors, which exit 1).
+// When the module's SLO monitor is degraded at shutdown the process
+// exits 2 (distinguishable from flag errors, which exit 1).
 //
 // Usage:
 //   latest_stream_run [--scenario NAME] [--objects N] [--duration MS]
@@ -44,7 +40,7 @@
 //                     [--checkpoint-every N] [--kill-after N] [--resume]
 //                     [--metrics-port P] [--trace-out FILE]
 //                     [--span-sample N] [--pace-us D]
-//                     [--postmortem-dir DIR] [--flip-workload-at N]
+//                     [--flip-workload-at N]
 
 #include <signal.h>
 #include <unistd.h>
@@ -85,7 +81,6 @@ struct Options {
   std::string trace_out;
   uint32_t span_sample = 1;
   uint64_t pace_us = 0;  // Sleep per event (for live scraping).
-  std::string postmortem_dir;
   std::string scenario = "baseline";
   uint64_t flip_workload_at = 0;  // != 0 forces the `flip` scenario.
 };
@@ -133,34 +128,7 @@ LatestConfig MakeConfig(const Options& options,
     config.introspection_port = static_cast<uint16_t>(options.metrics_port);
     config.slo_tick_ms = 250;  // Keep /healthz fresh for short CI runs.
   }
-  if (!options.postmortem_dir.empty()) {
-    config.quality.postmortem_dir = options.postmortem_dir;
-  }
   return config;
-}
-
-// Fatal-signal postmortem: dump a bundle before dying so a crash leaves
-// the same evidence an SLO breach would. Best-effort — the handler runs
-// on the crashed thread and re-raises with default disposition after.
-LatestModule* g_signal_module = nullptr;
-volatile sig_atomic_t g_in_signal_handler = 0;
-
-void FatalSignalHandler(int signo) {
-  if (g_in_signal_handler == 0) {
-    g_in_signal_handler = 1;
-    if (g_signal_module != nullptr) {
-      (void)g_signal_module->observer().DumpPostmortem("signal");
-    }
-  }
-  ::signal(signo, SIG_DFL);
-  ::raise(signo);
-}
-
-void InstallFatalSignalHandlers(LatestModule* module) {
-  g_signal_module = module;
-  for (const int signo : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE}) {
-    ::signal(signo, FatalSignalHandler);
-  }
 }
 
 Options ParseArgs(int argc, char** argv) {
@@ -195,8 +163,6 @@ Options ParseArgs(int argc, char** argv) {
           static_cast<uint32_t>(std::strtoul(value().c_str(), nullptr, 10));
     } else if (arg == "--pace-us") {
       options.pace_us = std::strtoull(value().c_str(), nullptr, 10);
-    } else if (arg == "--postmortem-dir") {
-      options.postmortem_dir = value();
     } else if (arg == "--scenario") {
       options.scenario = value();
     } else if (arg == "--flip-workload-at") {
@@ -255,9 +221,6 @@ int main(int argc, char** argv) {
   if (module->observer().introspection() != nullptr) {
     std::fprintf(stderr, "introspection server on http://127.0.0.1:%u\n",
                  module->observer().introspection()->port());
-  }
-  if (!options.postmortem_dir.empty()) {
-    InstallFatalSignalHandlers(module.get());
   }
 
   std::unique_ptr<CheckpointManager> manager;
@@ -342,7 +305,7 @@ int main(int argc, char** argv) {
   const uint32_t state_crc = latest::persist::Crc32(state.buffer());
 
   // Quality-observability outcome: drift detections across all monitored
-  // series, audit-trail totals, and the shutdown postmortem.
+  // series and audit-trail totals.
   const uint64_t drift_detections =
       module->telemetry()
           .events()
@@ -354,12 +317,6 @@ int main(int argc, char** argv) {
         module->observer().audit_trail()->GetSummary().total_recorded;
   }
   const bool degraded = module->observer().slo_monitor().degraded();
-  if (!options.postmortem_dir.empty()) {
-    g_signal_module = nullptr;  // Shutdown is no longer a crash window.
-    const auto written = module->observer().DumpPostmortem("shutdown");
-    if (!written.ok()) Die(written.status().ToString());
-    std::fprintf(stderr, "postmortem bundle: %s\n", written.value().c_str());
-  }
 
   char crc_hex[16];
   std::snprintf(crc_hex, sizeof(crc_hex), "%08x", state_crc);
