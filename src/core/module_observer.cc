@@ -46,9 +46,6 @@ ModuleObserver::~ModuleObserver() = default;
 
 void ModuleObserver::RegisterMetrics() {
   obs::MetricsRegistry& registry = telemetry_.registry();
-  monitor_accuracy_gauge_ = registry.GetGauge(
-      "latest_monitor_accuracy",
-      "Moving-average accuracy of the active estimator");
   window_population_gauge_ = registry.GetGauge(
       "latest_window_population", "Objects currently inside the window");
   store_live_rows_gauge_ = registry.GetGauge(
@@ -107,6 +104,10 @@ util::Status ModuleObserver::StartIntrospection() {
   sources.errors = error_accountant_.get();
   sources.drift = drift_monitor_.get();
   sources.audit = audit_trail_.get();
+  sources.event_clock = [this](int64_t* timestamp, uint64_t* query_count) {
+    *timestamp = stream_time_ms_.load(std::memory_order_relaxed);
+    *query_count = module_.queries_answered();
+  };
   obs::IntrospectionInfo info;
   info.tau = config.tau;
   info.prefill_threshold = config.PrefillThreshold();
@@ -126,7 +127,18 @@ void ModuleObserver::SetWindowGauges() {
 }
 
 void ModuleObserver::SetModelGauges() {
-  monitor_accuracy_gauge_->Set(module_.accuracy_monitor_.Mean());
+  // Registered at the monitor's first sample. Until then the series is
+  // absent, so the monitor_accuracy SLO rule has no value rather than
+  // reading an empty monitor's 0 as a breach on an idle instance.
+  if (monitor_accuracy_gauge_ == nullptr &&
+      module_.accuracy_monitor_.size() > 0) {
+    monitor_accuracy_gauge_ = telemetry_.registry().GetGauge(
+        "latest_monitor_accuracy",
+        "Moving-average accuracy of the active estimator");
+  }
+  if (monitor_accuracy_gauge_ != nullptr) {
+    monitor_accuracy_gauge_->Set(module_.accuracy_monitor_.Mean());
+  }
   const ml::HoeffdingTree& model = module_.model();
   model_records_gauge_->Set(static_cast<double>(model.num_trained()));
   model_leaves_gauge_->Set(static_cast<double>(model.num_leaves()));
@@ -134,8 +146,14 @@ void ModuleObserver::SetModelGauges() {
 }
 
 void ModuleObserver::Resync() {
+  MirrorStreamTime();
   SetWindowGauges();
   SetModelGauges();
+}
+
+void ModuleObserver::MirrorStreamTime() {
+  stream_time_ms_.store(static_cast<int64_t>(module_.clock_.now()),
+                        std::memory_order_relaxed);
 }
 
 void ModuleObserver::OnIngest(const stream::GeoTextObject& obj) {
@@ -162,6 +180,7 @@ void ModuleObserver::OnIngest(const stream::GeoTextObject& obj) {
     slice_sum_y_ += obj.loc.y;
     ++slice_objects_;
   }
+  MirrorStreamTime();
   SetWindowGauges();
 }
 
@@ -227,6 +246,7 @@ void ModuleObserver::OnQueryFinished(const QueryOutcome& outcome,
   estimate_stage_histogram_->Observe(stages.estimate_ms);
   model_stage_histogram_->Observe(stages.model_ms);
   accuracy_histogram_->Observe(outcome.accuracy);
+  MirrorStreamTime();
   SetModelGauges();
   window_population_gauge_->Set(
       static_cast<double>(module_.window_population()));

@@ -15,6 +15,7 @@
 #define LATEST_CORE_MODULE_OBSERVER_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -95,6 +96,7 @@ class ModuleObserver {
   void RegisterMetrics();
   void SetWindowGauges();
   void SetModelGauges();
+  void MirrorStreamTime();
 
   const LatestModule& module_;
   obs::Telemetry& telemetry_;
@@ -116,6 +118,8 @@ class ModuleObserver {
   obs::Histogram* model_stage_histogram_ = nullptr;
 
   std::unique_ptr<obs::SloMonitor> slo_monitor_;
+  /// The module's event time, mirrored for the SLO ticker's event stamps.
+  std::atomic<int64_t> stream_time_ms_{0};
 
   /// Estimation-quality plane (null when quality.enabled is false).
   std::unique_ptr<obs::ErrorAccountant> error_accountant_;

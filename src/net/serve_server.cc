@@ -165,6 +165,11 @@ void ServeServer::IoLoop() {
   char read_buffer[64 * 1024];
 
   while (running_.load(std::memory_order_acquire)) {
+    // Sends what the batch thread has published. With nothing published
+    // the thread marks itself idle and sleeps until a socket, a publish
+    // or Stop() wakes it; otherwise it only looks at the sockets and
+    // comes back to flush again, so neither side starves the other.
+    const bool idle = !FlushOutbox();
     fds.clear();
     fd_conn_ids.clear();
     fds.push_back({listen_fd_.get(), POLLIN, 0});
@@ -175,15 +180,15 @@ void ServeServer::IoLoop() {
       fds.push_back({conn.fd.get(), events, 0});
       fd_conn_ids.push_back(conn_id);
     }
-    const int ready = ::poll(fds.data(), fds.size(), /*timeout_ms=*/100);
+    const int ready = ::poll(fds.data(), fds.size(), idle ? -1 : 0);
+    // Awake: a publish from here on needs no wakeup.
+    io_idle_.store(false, std::memory_order_relaxed);
     if (ready < 0) continue;  // EINTR.
 
-    if (fds[1].revents != 0) {
-      wake_.Drain();
-      FlushOutbox();
-    }
+    if (fds[1].revents != 0) wake_.Drain();
 
     if ((fds[0].revents & POLLIN) != 0) {
+      const size_t before = connections_.size();
       for (;;) {
         const int client = ::accept(listen_fd_.get(), nullptr, nullptr);
         if (client < 0) break;
@@ -200,6 +205,7 @@ void ServeServer::IoLoop() {
         conn.fd = Fd(client);
         connections_.emplace(next_conn_id_++, std::move(conn));
       }
+      if (connections_.size() != before) SetConnectionsGauge();
     }
 
     std::vector<uint64_t> to_close;
@@ -243,11 +249,7 @@ void ServeServer::IoLoop() {
       if (dead || (conn.closing && flushed)) to_close.push_back(conn_id);
     }
     for (const uint64_t conn_id : to_close) connections_.erase(conn_id);
-    connections_gauge_val_.store(connections_.size(),
-                                 std::memory_order_relaxed);
-    if (connections_gauge_ != nullptr) {
-      connections_gauge_->Set(static_cast<double>(connections_.size()));
-    }
+    if (!to_close.empty()) SetConnectionsGauge();
   }
 
   // Shutdown: the batch thread has already drained, so everything owed
@@ -279,7 +281,15 @@ void ServeServer::IoLoop() {
     }
   }
   connections_.clear();
-  connections_gauge_val_.store(0, std::memory_order_relaxed);
+  SetConnectionsGauge();
+}
+
+void ServeServer::SetConnectionsGauge() {
+  connections_gauge_val_.store(connections_.size(),
+                               std::memory_order_relaxed);
+  if (connections_gauge_ != nullptr) {
+    connections_gauge_->Set(static_cast<double>(connections_.size()));
+  }
 }
 
 bool ServeServer::DrainFrames(uint64_t conn_id, Connection* conn) {
@@ -424,39 +434,42 @@ bool ServeServer::DrainFrames(uint64_t conn_id, Connection* conn) {
   }
 }
 
-void ServeServer::FlushOutbox() {
-  std::map<uint64_t, std::string> pending;
-  std::vector<uint64_t> flushed_seqs;
+bool ServeServer::FlushOutbox() {
   {
     std::lock_guard<std::mutex> lock(outbox_mu_);
-    pending.swap(outbox_);
-    flushed_seqs.swap(pending_flush_seqs_);
-  }
-  for (auto& [conn_id, bytes] : pending) {
-    auto it = connections_.find(conn_id);
-    if (it == connections_.end()) continue;  // Client already gone.
-    it->second.write_buffer += bytes;
-    TryFlush(it->second.fd.get(), &it->second.write_buffer,
-             &it->second.write_offset);
-  }
-  if (!flushed_seqs.empty()) {
-    const int64_t flush_micros = NowMicros();
-    std::vector<obs::RequestTraceStore::Record> completed;
-    const bool want_spans = obs::GetSpanCollector() != nullptr;
-    for (const uint64_t seq : flushed_seqs) {
-      request_trace_.CompleteFlush(seq, flush_micros,
-                                   want_spans ? &completed : nullptr);
+    if (published_seq_ == flushed_seq_) {
+      io_idle_.store(true, std::memory_order_relaxed);
+      return false;
     }
-    for (const auto& record : completed) {
-      EmitRequestSpans(record, flush_micros);
+    flushed_seq_ = published_seq_;
+    // The batch thread gets back the strings of the previous flush,
+    // emptied but with their capacity, so publishing allocates nothing
+    // once warm.
+    outbox_.swap(flushing_);
+  }
+  for (auto it = flushing_.begin(); it != flushing_.end();) {
+    auto conn = connections_.find(it->first);
+    if (conn == connections_.end()) {  // Client already gone.
+      it = flushing_.erase(it);
+      continue;
     }
+    if (!it->second.empty()) {
+      Connection& c = conn->second;
+      c.write_buffer += it->second;
+      it->second.clear();
+      TryFlush(c.fd.get(), &c.write_buffer, &c.write_offset);
+    }
+    ++it;
   }
-  if (ingest_queue_gauge_ != nullptr) {
-    ingest_queue_gauge_->Set(static_cast<double>(batcher_.ingest_depth()));
+  const int64_t flush_micros = NowMicros();
+  std::vector<obs::RequestTraceStore::Record> completed;
+  const bool want_spans = obs::GetSpanCollector() != nullptr;
+  request_trace_.CompleteFlush(flushed_seq_, flush_micros,
+                               want_spans ? &completed : nullptr);
+  for (const auto& record : completed) {
+    EmitRequestSpans(record, flush_micros);
   }
-  if (query_queue_gauge_ != nullptr) {
-    query_queue_gauge_->Set(static_cast<double>(batcher_.query_depth()));
-  }
+  return true;
 }
 
 void ServeServer::EmitRequestSpans(
@@ -510,40 +523,77 @@ void ServeServer::EmitRequestSpans(
 
 void ServeServer::BatchLoop() {
   std::vector<AdmittedEvent> batch;
-  std::map<uint64_t, std::string> outbox;
-  std::vector<obs::RequestTraceStore::Record> records;
   while (batcher_.WaitForBatch(&batch)) {
-    outbox.clear();
-    records.clear();
-    const uint64_t seq = ++batch_seq_;
-    ProcessBatch(batch, seq, &outbox, &records);
-    // Outbox handoff ends every record's serialize stage. Append before
-    // publishing the sequence number: the IO thread only learns about
-    // `seq` under outbox_mu_, so its CompleteFlush always finds the
-    // records.
-    const int64_t handoff_micros = NowMicros();
-    for (auto& record : records) {
-      record.handoff_micros = handoff_micros;
-      record.serialize_ns =
-          MicrosToNanos(handoff_micros, record.run_end_micros);
-      request_trace_.Append(std::move(record));
+    // Queue depths change at admission and at dequeue; one read per
+    // batch keeps the batcher mutex off the IO thread's flush path.
+    const size_t ingest_depth = batcher_.ingest_depth();
+    const size_t query_depth = batcher_.query_depth();
+    if (ingest_queue_gauge_ != nullptr) {
+      ingest_queue_gauge_->Set(static_cast<double>(ingest_depth));
     }
-    {
-      std::lock_guard<std::mutex> lock(outbox_mu_);
-      for (auto& [conn_id, bytes] : outbox) {
-        outbox_[conn_id] += bytes;
-      }
-      pending_flush_seqs_.push_back(seq);
+    if (query_queue_gauge_ != nullptr) {
+      query_queue_gauge_->Set(static_cast<double>(query_depth));
     }
-    wake_.Notify();
+    // Work left in the FIFO means the batcher capped this batch at
+    // max_batch queries: the plane is saturated. Then each batch is
+    // published once, at its end. Per-response publishes of hundreds of
+    // events would multiply sends and client wakeups, which on
+    // perfbench's closed-loop saturate_flip (4-vCPU host) cut
+    // throughput by a quarter.
+    ProcessBatch(batch, /*publish_each=*/ingest_depth + query_depth == 0);
   }
 }
 
-void ServeServer::ProcessBatch(
-    const std::vector<AdmittedEvent>& batch, uint64_t batch_seq,
-    std::map<uint64_t, std::string>* outbox,
-    std::vector<obs::RequestTraceStore::Record>* records) {
+void ServeServer::Publish() {
+  if (pending_runs_.empty()) return;
+  // The batch thread is the only writer of published_seq_.
+  const uint64_t seq = published_seq_ + 1;
+  // The publish ends every record's serialize stage. Append before the
+  // bytes become visible: the IO thread only learns about `seq` under
+  // outbox_mu_, so its CompleteFlush always finds the records.
+  const int64_t publish_micros = NowMicros();
+  for (auto& record : pending_records_) {
+    record.publish_seq = seq;
+    record.handoff_micros = publish_micros;
+    record.serialize_ns = MicrosToNanos(publish_micros, record.run_end_micros);
+    request_trace_.Append(std::move(record));
+  }
+  pending_records_.clear();
+  // STATUS frames answer from these mirrors: refresh them before a
+  // client can see this response and ask.
+  phase_mirror_.store(static_cast<uint32_t>(module_->phase()),
+                      std::memory_order_relaxed);
+  active_kind_mirror_.store(static_cast<uint32_t>(module_->active_kind()),
+                            std::memory_order_relaxed);
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(outbox_mu_);
+    size_t begin = 0;
+    for (const auto& [conn_id, end] : pending_runs_) {
+      outbox_[conn_id].append(pending_bytes_, begin, end - begin);
+      begin = end;
+    }
+    published_seq_ = seq;
+    wake = io_idle_.exchange(false, std::memory_order_relaxed);
+  }
+  pending_bytes_.clear();
+  pending_runs_.clear();
+  if (wake) wake_.Notify();
+}
+
+void ServeServer::ProcessBatch(std::vector<AdmittedEvent>& batch,
+                               bool publish_each) {
   obs::SpanCollector* collector = obs::GetSpanCollector();
+
+  // Ends one encoded response in pending_bytes_, extending the last run
+  // when it goes to the same connection.
+  auto end_response = [this](uint64_t conn_id) {
+    if (!pending_runs_.empty() && pending_runs_.back().first == conn_id) {
+      pending_runs_.back().second = pending_bytes_.size();
+    } else {
+      pending_runs_.emplace_back(conn_id, pending_bytes_.size());
+    }
+  };
 
   // Scratch for the current contiguous query run.
   std::vector<stream::Query> queries;
@@ -563,7 +613,6 @@ void ServeServer::ProcessBatch(
     record.request_id = event.request_id;
     record.trace_id = event.trace_id;
     record.conn_id = event.conn_id;
-    record.batch_seq = batch_seq;
     record.request_class = klass;
     record.trace_sampled = event.trace_sampled;
     record.root_span_id = root_span_id;
@@ -626,7 +675,8 @@ void ServeServer::ProcessBatch(
       resp.actual = outcomes[i].actual;
       resp.phase = static_cast<uint32_t>(outcomes[i].phase);
       resp.active_kind = static_cast<uint32_t>(outcomes[i].active);
-      EncodeQueryResponse(resp, &(*outbox)[event.conn_id]);
+      EncodeQueryResponse(resp, &pending_bytes_);
+      end_response(event.conn_id);
       stats_.queries_answered.fetch_add(1, std::memory_order_relaxed);
       stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
       if (queries_counter_ != nullptr) queries_counter_->Increment();
@@ -649,28 +699,28 @@ void ServeServer::ProcessBatch(
           static_cast<int64_t>(stage_breakdowns[i].estimate_ms * 1e6);
       record.model_ns =
           static_cast<int64_t>(stage_breakdowns[i].model_ms * 1e6);
-      records->push_back(std::move(record));
+      pending_records_.push_back(std::move(record));
     }
+    if (publish_each) Publish();
     batch_queries += queries.size();
     queries.clear();
     query_events.clear();
   };
 
-  for (const AdmittedEvent& event : batch) {
+  for (AdmittedEvent& event : batch) {
     if (event.kind == AdmittedEvent::Kind::kQuery) {
-      stream::Query q = event.query;
       // The module requires non-decreasing timestamps across objects and
       // queries; many independent clients cannot coordinate theirs, so
-      // the serving plane monotonizes.
-      last_timestamp_ = std::max(last_timestamp_, q.timestamp);
-      q.timestamp = last_timestamp_;
-      queries.push_back(std::move(q));
+      // the serving plane monotonizes (in place: the batch is ours).
+      last_timestamp_ = std::max(last_timestamp_, event.query.timestamp);
+      event.query.timestamp = last_timestamp_;
+      queries.push_back(std::move(event.query));
       query_events.push_back(&event);
       continue;
     }
     // An ingest ends the current query run (order preservation).
     flush_queries();
-    stream::GeoTextObject obj = event.object;
+    stream::GeoTextObject& obj = event.object;
     last_timestamp_ = std::max(last_timestamp_, obj.timestamp);
     obj.timestamp = last_timestamp_;
     uint64_t ingest_root_id = 0;
@@ -691,7 +741,8 @@ void ServeServer::ProcessBatch(
     const int64_t run_end_micros = NowMicros();
     stats_.objects_ingested.fetch_add(1, std::memory_order_relaxed);
     if (ingests_counter_ != nullptr) ingests_counter_->Increment();
-    EncodeIngestAck({event.request_id}, &(*outbox)[event.conn_id]);
+    EncodeIngestAck({event.request_id}, &pending_bytes_);
+    end_response(event.conn_id);
     stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
     if (frames_out_counter_ != nullptr) frames_out_counter_->Increment();
     observe_queue_wait(event, ingest_queue_wait_histogram_);
@@ -700,18 +751,19 @@ void ServeServer::ProcessBatch(
         run_start_micros, ingest_root_id);
     record.run_end_micros = run_end_micros;
     record.module_ns = MicrosToNanos(run_end_micros, run_start_micros);
-    records->push_back(std::move(record));
+    pending_records_.push_back(std::move(record));
+    // The ACK means applied to the module (and appended to the WAL when
+    // the ingest hook writes one), which is true now: release it before
+    // the rest of the batch runs.
+    if (publish_each) Publish();
   }
   flush_queries();
+  Publish();
 
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
   if (batch_size_histogram_ != nullptr && batch_queries > 0) {
     batch_size_histogram_->Observe(static_cast<double>(batch_queries));
   }
-  phase_mirror_.store(static_cast<uint32_t>(module_->phase()),
-                      std::memory_order_relaxed);
-  active_kind_mirror_.store(static_cast<uint32_t>(module_->active_kind()),
-                            std::memory_order_relaxed);
 }
 
 }  // namespace latest::net

@@ -7,7 +7,8 @@
 //                 write buffers). Decodes frames, answers STATUS frames
 //                 inline from mirrored atomics, admits INGEST/QUERY into
 //                 the Batcher (writing RETRY_LATER itself on shed), and
-//                 flushes response bytes produced by the batch thread.
+//                 on every pass flushes whatever response bytes the batch
+//                 thread has published.
 //
 //   batch thread  Blocks in Batcher::WaitForBatch; the only thread that
 //                 touches the LatestModule. Group commit: when idle it
@@ -15,10 +16,24 @@
 //                 batch is everything admitted while the previous one
 //                 ran (up to max_batch queries), so batch size follows
 //                 load. Applies ingests in order, coalesces admitted
-//                 query runs through OnQueryBatch, encodes the
-//                 responses, hands them to the IO thread through a
-//                 per-connection outbox, and mirrors phase/active/counter
-//                 state into atomics for the STATUS path.
+//                 query runs through OnQueryBatch, and mirrors
+//                 phase/active/counter state into atomics for the STATUS
+//                 path.
+//
+// Responses are group-committed too. The batch thread publishes each
+// ingest's ACK, and each query run's answers, into the shared outbox as
+// soon as they are encoded, so no response waits for the rest of its
+// batch. The exception is a saturated plane: when the batcher had to
+// cap a batch at max_batch queries, work is still queued behind it, and
+// that batch publishes once, at its end, so hundreds of tiny sends do
+// not multiply client wakeups. The IO thread flushes at the top of every
+// pass and, after a pass that found bytes, polls with timeout 0, so
+// socket reads are never starved; only when it finds the outbox empty
+// does it mark itself idle (under the outbox mutex, just before poll)
+// and sleep with no timeout, and only a publish that finds that mark
+// pokes the self-pipe — the mirror of the Batcher's consumer_waiting_
+// handshake. A publish therefore either sees the IO thread idle and
+// wakes it, or lands before the idle check and keeps it from sleeping.
 //
 // Shutdown drains: Stop() refuses new admissions, the batch thread
 // finishes every already-admitted event (WaitForBatch returns false only
@@ -35,6 +50,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/latest_module.h"
@@ -122,17 +138,26 @@ class ServeServer {
   bool DrainFrames(uint64_t conn_id, Connection* conn);
 
   /// Runs one drained batch through the module in arrival order,
-  /// encoding responses into `outbox` (conn_id -> bytes) and appending
-  /// one flush-incomplete trace record per request to `records`.
-  void ProcessBatch(const std::vector<AdmittedEvent>& batch,
-                    uint64_t batch_seq,
-                    std::map<uint64_t, std::string>* outbox,
-                    std::vector<obs::RequestTraceStore::Record>* records);
+  /// clamping timestamps in place. With `publish_each` it publishes each
+  /// ingest's ACK and each query run's answers as soon as they are
+  /// encoded; otherwise everything once, at the end of the batch.
+  void ProcessBatch(std::vector<AdmittedEvent>& batch, bool publish_each);
 
-  /// Moves batch-thread outbox bytes into connection write buffers,
-  /// finalises the flushed batches' trace records, and emits their
-  /// stage spans (IO thread).
-  void FlushOutbox();
+  /// Batch thread: ends the serialize stage of every record in
+  /// `pending_records_`, appends them to the trace store, then moves
+  /// the encoded `pending_bytes_` into the shared outbox, waking the IO
+  /// thread if it sleeps idle.
+  void Publish();
+
+  /// IO thread: moves published bytes into connection write buffers,
+  /// sends them, finalises the flushed requests' trace records, and
+  /// emits their stage spans. With nothing published it instead marks
+  /// the thread idle (under the outbox mutex, so a later Publish sees
+  /// the mark) and returns false.
+  bool FlushOutbox();
+
+  /// Mirrors the open-connection count (IO thread, at accept and close).
+  void SetConnectionsGauge();
 
   /// Emits the synthetic serve_request span tree for one flushed
   /// record onto the installed span collector.
@@ -158,17 +183,30 @@ class ServeServer {
   uint64_t next_conn_id_ = 1;
   std::atomic<uint64_t> connections_gauge_val_{0};
 
-  // Batch thread -> IO thread response handoff. `pending_flush_seqs_`
-  // rides along: batch sequence numbers whose responses entered the
-  // outbox but whose flush completion has not been observed yet.
+  // Batch thread -> IO thread response handoff (see the header
+  // comment). `published_seq_` counts publishes; every record of a
+  // publish is in request_trace_ before the count moves past it, so the
+  // IO thread completes flushes by sequence without losing a record.
   std::mutex outbox_mu_;
-  std::map<uint64_t, std::string> outbox_;
-  std::vector<uint64_t> pending_flush_seqs_;
+  std::map<uint64_t, std::string> outbox_;  // conn_id -> published bytes.
+  uint64_t published_seq_ = 0;
+  uint64_t flushed_seq_ = 0;  // Last publish the IO thread took.
+  /// Set under outbox_mu_ by an IO thread about to sleep on an empty
+  /// outbox; a Publish that finds it set wakes the thread. The IO
+  /// thread clears it, without the mutex, as soon as poll() returns.
+  std::atomic<bool> io_idle_{false};
+  std::map<uint64_t, std::string> flushing_;  // IO-thread-owned spare.
+
+  // Batch-thread-owned encode scratch for the next publish: response
+  // bytes in encode order, split into (conn_id, end offset) runs, plus
+  // the matching flush-incomplete trace records.
+  std::string pending_bytes_;
+  std::vector<std::pair<uint64_t, size_t>> pending_runs_;
+  std::vector<obs::RequestTraceStore::Record> pending_records_;
 
   // Per-request stage waterfalls (batch thread appends, IO thread
   // patches flush completion; internally locked).
   obs::RequestTraceStore request_trace_;
-  uint64_t batch_seq_ = 0;  // Batch-thread-owned.
 
   ServeStats stats_;
 

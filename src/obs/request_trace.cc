@@ -33,12 +33,18 @@ void RequestTraceStore::Append(Record record) {
   next_ = (next_ + 1) % kRecentCapacity;
 }
 
-void RequestTraceStore::CompleteFlush(uint64_t batch_seq,
+void RequestTraceStore::CompleteFlush(uint64_t publish_seq,
                                       int64_t flush_micros,
                                       std::vector<Record>* completed) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& record : ring_) {
-    if (record.batch_seq != batch_seq || record.flushed) continue;
+  // Flushes complete in publish order, so the unflushed records form the
+  // newest end of the ring: records published after `publish_seq` first
+  // (their bytes are not out yet), then the ones this flush completes.
+  const size_t n = ring_.size();
+  for (size_t back = 1; back <= n; ++back) {
+    Record& record = ring_[(next_ + n - back) % n];
+    if (record.publish_seq > publish_seq) continue;
+    if (record.flushed) break;
     record.flushed = true;
     record.flush_ns =
         std::max<int64_t>(0, flush_micros - record.handoff_micros) * 1000;

@@ -10,10 +10,12 @@
 // slowest retained requests as waterfalls and an e2e test asserts the
 // reconciliation.
 //
-// Flush happens on the IO thread after the batch thread has already
-// built the record, so records are appended flush-incomplete and
-// patched by CompleteFlush(batch_seq): only then do they become
-// eligible for the slowest-K board, keeping its totals final.
+// The batch thread publishes responses as soon as each is encoded, and
+// the IO thread flushes whatever has been published. A record is
+// appended flush-incomplete at its publish, before its bytes become
+// visible to the IO thread, and patched by CompleteFlush(publish_seq)
+// once they reach the kernel: only then does it become eligible for the
+// slowest-K board, keeping the board's totals final.
 //
 // Strictly observational and bounded: a fixed recent ring plus a fixed
 // slowest-K board, all under one mutex that only the serve threads and
@@ -37,7 +39,7 @@ class RequestTraceStore {
     uint64_t request_id = 0;
     uint64_t trace_id = 0;  // 0 when the client sent no trace context.
     uint64_t conn_id = 0;
-    uint64_t batch_seq = 0;  // Flush-patch key.
+    uint64_t publish_seq = 0;  // Flush-patch key (publish order).
     RequestClass request_class = RequestClass::kQuery;
     bool trace_sampled = false;
     /// Pre-allocated id of the request's root span (0 when the request
@@ -53,7 +55,7 @@ class RequestTraceStore {
     int64_t dequeue_micros = 0;    // Batch drain (batch_form start).
     int64_t run_start_micros = 0;  // Module run start (module start).
     int64_t run_end_micros = 0;    // Module run end (serialize start).
-    int64_t handoff_micros = 0;    // Outbox handoff (flush start).
+    int64_t handoff_micros = 0;    // Outbox publish (flush start).
 
     /// Stage durations, nanoseconds (derived from the stamps above at
     /// append time). `flush_ns` and `total_ns` stay 0 until
@@ -81,17 +83,21 @@ class RequestTraceStore {
   RequestTraceStore(const RequestTraceStore&) = delete;
   RequestTraceStore& operator=(const RequestTraceStore&) = delete;
 
-  /// Appends one flush-incomplete record (batch thread, at serialize
-  /// time). Overwrites the oldest record once the ring is full.
+  /// Appends one flush-incomplete record (batch thread, at publish,
+  /// before the response bytes become visible). Records must arrive in
+  /// non-decreasing publish_seq. Overwrites the oldest record once the
+  /// ring is full.
   void Append(Record record);
 
-  /// Finalises every retained record of `batch_seq`: flush duration
-  /// from the outbox handoff to `flush_micros`, total from admission,
-  /// and promotion onto the slowest-K board (IO thread, after the
-  /// batch's responses left the socket buffer). When `completed` is
-  /// non-null the finalised records are appended to it so the caller
-  /// can emit spans without re-scanning the ring.
-  void CompleteFlush(uint64_t batch_seq, int64_t flush_micros,
+  /// Finalises every retained unflushed record published at or before
+  /// `publish_seq`: flush duration from the publish to `flush_micros`,
+  /// total from admission, and promotion onto the slowest-K board (IO
+  /// thread, once the published bytes were handed to the kernel). Walks
+  /// back from the newest record and stops at the first flushed one, so
+  /// the cost follows the records completed, not the ring size. When
+  /// `completed` is non-null the finalised records are appended to it
+  /// so the caller can emit spans without re-scanning the ring.
+  void CompleteFlush(uint64_t publish_seq, int64_t flush_micros,
                      std::vector<Record>* completed = nullptr);
 
   /// Recent records, oldest first (flushed or not).

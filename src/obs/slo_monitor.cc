@@ -53,7 +53,7 @@ bool SloMonitor::ReadValue(const SloRule& rule, double* out) const {
   return false;
 }
 
-size_t SloMonitor::EvaluateAll(int64_t timestamp) {
+size_t SloMonitor::EvaluateAll(int64_t timestamp, uint64_t query_count) {
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   size_t breached_now = 0;
   std::lock_guard<std::mutex> lock(mu_);
@@ -80,6 +80,7 @@ size_t SloMonitor::EvaluateAll(int64_t timestamp) {
         Event event;
         event.type = EventType::kSloBreached;
         event.timestamp = timestamp;
+        event.query_count = query_count;
         event.detail = state.last_value;
         event.note = state.rule.name;
         events_->Append(event);
@@ -89,6 +90,7 @@ size_t SloMonitor::EvaluateAll(int64_t timestamp) {
         Event event;
         event.type = EventType::kSloRecovered;
         event.timestamp = timestamp;
+        event.query_count = query_count;
         event.detail = state.last_value;
         event.note = state.rule.name;
         events_->Append(event);

@@ -86,9 +86,9 @@ class SloMonitor {
   void AddRule(const SloRule& rule);
 
   /// Evaluates every rule once; returns the number currently breached.
-  /// `timestamp` stamps emitted events (stream event time when the
-  /// caller has it, 0 otherwise).
-  size_t EvaluateAll(int64_t timestamp = 0);
+  /// `timestamp` (stream event time, ms) and `query_count` (queries
+  /// answered so far) stamp the emitted events.
+  size_t EvaluateAll(int64_t timestamp = 0, uint64_t query_count = 0);
 
   /// True while at least one rule is breached (drives /healthz).
   bool degraded() const {

@@ -177,7 +177,10 @@ void IntrospectionServer::SloTickerLoop(uint32_t tick_ms) {
   while (ticker_running_.load(std::memory_order_acquire)) {
     if (elapsed >= tick_ms) {
       elapsed = 0;
-      sources_.slo->EvaluateAll();
+      int64_t timestamp = 0;
+      uint64_t query_count = 0;
+      if (sources_.event_clock) sources_.event_clock(&timestamp, &query_count);
+      sources_.slo->EvaluateAll(timestamp, query_count);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(kSliceMs));
     elapsed += kSliceMs;
@@ -631,10 +634,10 @@ void AppendRecordJson(std::string* out,
                       const RequestTraceStore::Record& record) {
   AppendF(out,
           "{\"request_id\":%" PRIu64 ",\"trace_id\":%" PRIu64
-          ",\"conn\":%" PRIu64 ",\"batch_seq\":%" PRIu64
+          ",\"conn\":%" PRIu64 ",\"publish_seq\":%" PRIu64
           ",\"class\":\"%s\",\"sampled\":%s,\"root_span_id\":%" PRIu64,
           record.request_id, record.trace_id, record.conn_id,
-          record.batch_seq, RequestClassName(record.request_class),
+          record.publish_seq, RequestClassName(record.request_class),
           record.trace_sampled ? "true" : "false", record.root_span_id);
   AppendF(out,
           ",\"stages_ns\":{\"queue_wait\":%" PRId64

@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -58,6 +59,11 @@ struct IntrospectionSources {
   ErrorAccountant* errors = nullptr;
   DriftMonitor* drift = nullptr;
   SwitchAuditTrail* audit = nullptr;
+  /// Stamps the SLO ticker's events with the stream's event time (ms)
+  /// and the queries answered so far. Runs on the ticker thread, so it
+  /// must only read thread-safe state. Unset leaves both 0.
+  std::function<void(int64_t* timestamp, uint64_t* query_count)>
+      event_clock;
   // Spans (/tracez), request waterfalls (/requestz), and the sampling
   // profiler (/profilez) are read through their process-global accessors
   // (obs/span.h, obs/request_trace.h, obs/profiler.h) at request time,

@@ -334,6 +334,226 @@ TEST(ServeE2eTest, CleanShutdownDrainsAdmittedWork) {
   EXPECT_FALSE(server.running());
 }
 
+// Response group commit: the batch thread publishes each response as
+// soon as it is encoded, so the ACKs of a batch's earlier events reach
+// the client while a later event of the same batch is still running.
+TEST(ServeE2eTest, EarlyReleaseAcksBeforeTheirBatchEnds) {
+  auto module = MustCreate(TestConfig());
+  // The first ingest parks the batch thread so a burst queues up behind
+  // it and is drained as one batch; the burst's event kStallAt (0-based)
+  // then blocks in the hook until the test has read the earlier ACKs.
+  constexpr uint64_t kBurst = 16;
+  constexpr uint64_t kStallAt = 5;
+  std::atomic<int> parked{0};  // 1: first ingest, 2: burst event kStallAt.
+  std::latch first_released{1};
+  std::latch burst_released{1};
+  uint64_t ingests = 0;  // Batch-thread-owned.
+  auto hook = [&](const stream::GeoTextObject& obj) {
+    const uint64_t n = ingests++;
+    if (n == 0 || n == 1 + kStallAt) {
+      parked.store(n == 0 ? 1 : 2);
+      parked.notify_all();
+      (n == 0 ? first_released : burst_released).wait();
+    }
+    module->OnObject(obj);
+  };
+  ServeServer server(ServeServerConfig{}, module.get(), hook);
+  ASSERT_TRUE(server.Start().ok());
+  // The read deadline: without early release the next ACK only comes
+  // after the blocked event, so the reads below time out instead.
+  auto connected = ServeClient::Connect(server.port(), /*io_timeout_ms=*/2000);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  auto client = std::move(connected).value();
+
+  ASSERT_TRUE(client->SendIngest(MakeIngest(1, 0, 0)).ok());
+  parked.wait(0);
+  std::string burst;
+  for (uint64_t i = 1; i <= kBurst; ++i) {
+    EncodeIngest(MakeIngest(i + 1, i, static_cast<int64_t>(i)), &burst);
+  }
+  ASSERT_TRUE(client->SendRaw(burst).ok());
+  while (server.stats().frames_in.load() < 1 + kBurst) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  first_released.count_down();
+  parked.wait(1);
+
+  // The parked ingest's ACK, then the burst's first kStallAt ACKs, all
+  // while burst event kStallAt is still blocked.
+  uint64_t early = 0;
+  for (; early <= kStallAt; ++early) {
+    auto response = client->ReadResponse();
+    if (!response.ok()) {
+      ADD_FAILURE() << "ack " << early + 1 << " held back until its batch "
+                    << "ends: " << response.status().ToString();
+      break;
+    }
+    EXPECT_EQ(response->type, FrameType::kIngestAck);
+    EXPECT_EQ(response->ack.request_id, early + 1);
+  }
+  EXPECT_EQ(server.stats().objects_ingested.load(), 1 + kStallAt);
+  burst_released.count_down();
+
+  if (early == kStallAt + 1) {
+    for (uint64_t id = kStallAt + 2; id <= kBurst + 1; ++id) {
+      auto response = client->ReadResponse();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response->type, FrameType::kIngestAck);
+      EXPECT_EQ(response->ack.request_id, id);
+    }
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().objects_ingested.load(), 1 + kBurst);
+}
+
+// A batch the batcher had to cap at max_batch queries leaves work in the
+// FIFO: the plane is saturated, and that batch publishes once, at its
+// end, while a batch that drained the FIFO publishes response by
+// response. The trace records show it: one publish sequence number per
+// capped batch, one per response otherwise.
+TEST(ServeE2eTest, CappedBatchesPublishOnceAtTheirEnd) {
+  auto module = MustCreate(TestConfig());
+  BatchThreadStall stall(module.get());
+  ServeServerConfig config;
+  config.batcher.max_batch = 1;
+  ServeServer server(config, module.get(), stall.Hook());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = MustConnect(server.port());
+
+  ASSERT_TRUE(client->SendIngest(MakeIngest(1, 0, 2000)).ok());
+  stall.WaitUntilStalled();
+  // With max_batch 1 the next batch is {query 2, ingest 3}, capped with
+  // {query 4, ingest 5} still queued; that last batch drains the FIFO.
+  std::string frames;
+  for (uint64_t id = 2; id <= 5; ++id) {
+    if (id % 2 == 0) {
+      QueryRequest query;
+      query.request_id = id;
+      query.query = MakeKeywordQuery(id, 2000);
+      EncodeQuery(query, &frames);
+    } else {
+      EncodeIngest(MakeIngest(id, id, 2000), &frames);
+    }
+  }
+  ASSERT_TRUE(client->SendRaw(frames).ok());
+  while (server.stats().frames_in.load() < 5) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stall.Release();
+  for (uint64_t id = 1; id <= 5; ++id) {
+    auto response = client->ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const uint64_t got = response->type == FrameType::kQueryResponse
+                             ? response->query.request_id
+                             : response->ack.request_id;
+    EXPECT_EQ(got, id);
+  }
+  server.Stop();
+
+  std::map<uint64_t, uint64_t> seq_of;  // request id -> publish_seq.
+  for (const auto& record : server.request_trace().Recent()) {
+    seq_of[record.request_id] = record.publish_seq;
+  }
+  ASSERT_EQ(seq_of.size(), 5u);
+  EXPECT_EQ(seq_of[2], seq_of[3]);  // Capped: one publish at batch end.
+  EXPECT_LT(seq_of[4], seq_of[5]);  // Drained: one publish per response.
+  EXPECT_LT(seq_of[3], seq_of[4]);
+}
+
+// The IO thread sleeps in poll() without a timeout once the outbox is
+// empty, so only the idle-flag handshake with Publish wakes it for a
+// response. A closed-loop client makes every request its own batch and
+// exercises that handshake on every request; a lost wakeup leaves one
+// response unsent and trips the per-request read deadline.
+TEST(ServeE2eTest, ClosedLoopSingleEventBatchesNeverLoseAWakeup) {
+  auto module = MustCreate(TestConfig());
+  ServeServer server(ServeServerConfig{}, module.get());
+  ASSERT_TRUE(server.Start().ok());
+  auto connected = ServeClient::Connect(server.port(), /*io_timeout_ms=*/5000);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  auto client = std::move(connected).value();
+
+  constexpr uint64_t kRequests = 3000;
+  for (uint64_t i = 1; i <= kRequests; ++i) {
+    const auto timestamp = static_cast<int64_t>(i);
+    if (i % 4 == 0) {
+      QueryRequest query;
+      query.request_id = i;
+      query.query = MakeKeywordQuery(i % 50, timestamp);
+      ASSERT_TRUE(client->SendQuery(query).ok());
+    } else {
+      ASSERT_TRUE(client->SendIngest(MakeIngest(i, i, timestamp)).ok());
+    }
+    auto response = client->ReadResponse();
+    ASSERT_TRUE(response.ok())
+        << "request " << i << ": " << response.status().ToString();
+    if (i % 4 == 0) {
+      ASSERT_EQ(response->type, FrameType::kQueryResponse);
+      ASSERT_EQ(response->query.request_id, i);
+    } else {
+      ASSERT_EQ(response->type, FrameType::kIngestAck);
+      ASSERT_EQ(response->ack.request_id, i);
+    }
+  }
+  server.Stop();
+  // Closed loop: every batch held exactly one event.
+  EXPECT_EQ(server.stats().batches.load(), kRequests);
+}
+
+// Flush completion is keyed by publish: a flush finalises exactly the
+// records published up to its sequence number, newest first, and leaves
+// later publishes (whose bytes are not out yet) unflushed.
+TEST(RequestTraceStoreTest, CompleteFlushFinalisesPublishedRecordsOnly) {
+  obs::RequestTraceStore store;
+  const auto record = [](uint64_t request_id, uint64_t publish_seq) {
+    obs::RequestTraceStore::Record r;
+    r.request_id = request_id;
+    r.publish_seq = publish_seq;
+    r.admit_micros = 100;
+    r.handoff_micros = 100 + static_cast<int64_t>(publish_seq);
+    return r;
+  };
+  store.Append(record(1, 1));
+  store.Append(record(2, 1));
+  store.Append(record(3, 2));
+  store.Append(record(4, 3));
+
+  std::vector<obs::RequestTraceStore::Record> completed;
+  store.CompleteFlush(/*publish_seq=*/2, /*flush_micros=*/110, &completed);
+  ASSERT_EQ(completed.size(), 3u);
+  for (const auto& r : completed) {
+    EXPECT_TRUE(r.flushed);
+    EXPECT_EQ(r.total_ns, 10000);
+    EXPECT_EQ(r.flush_ns, (110 - r.handoff_micros) * 1000);
+  }
+  std::vector<obs::RequestTraceStore::Record> recent = store.Recent();
+  ASSERT_EQ(recent.size(), 4u);
+  EXPECT_FALSE(recent[3].flushed);
+
+  completed.clear();
+  store.CompleteFlush(3, 120, &completed);
+  ASSERT_EQ(completed.size(), 1u);
+  EXPECT_EQ(completed[0].request_id, 4u);
+  EXPECT_EQ(store.Slowest().size(), 4u);
+  EXPECT_EQ(store.Slowest().front().request_id, 4u);
+
+  // A flush with nothing new completes nothing.
+  completed.clear();
+  store.CompleteFlush(3, 130, &completed);
+  EXPECT_TRUE(completed.empty());
+
+  // After the ring wraps, a flush finalises every retained record once.
+  for (uint64_t i = 0; i < obs::RequestTraceStore::kRecentCapacity + 40;
+       ++i) {
+    store.Append(record(100 + i, 4 + i));
+  }
+  completed.clear();
+  store.CompleteFlush(4 + obs::RequestTraceStore::kRecentCapacity + 40, 999,
+                      &completed);
+  EXPECT_EQ(completed.size(), obs::RequestTraceStore::kRecentCapacity);
+  EXPECT_EQ(store.Slowest().size(), obs::RequestTraceStore::kTopK);
+}
+
 TEST(ServeE2eTest, GarbageFrameGetsErrorThenClose) {
   auto module = MustCreate(TestConfig());
   ServeServer server(ServeServerConfig{}, module.get());

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include "core/latest_module.h"
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 #include "obs/slo_monitor.h"
 #include "obs/statusz.h"
 #include "tests/test_http_client.h"
+#include "tests/test_stream.h"
 
 namespace latest::obs {
 namespace {
@@ -254,6 +256,106 @@ TEST(SloMonitorTest, TickerThreadEvaluatesRules) {
   EXPECT_TRUE(saw_degraded);
   EXPECT_GE(monitor.evaluations(), 1u);
   server.Stop();
+}
+
+/// A module whose only SLO rule is the paper's accuracy monitor, with
+/// a threshold above any accuracy: its first sample already breaches.
+core::LatestConfig AccuracyOnlyConfig() {
+  core::LatestConfig config;
+  config.bounds = testing_support::kTestBounds;
+  config.window.window_length_ms = 1000;
+  config.window.num_slices = 10;
+  config.pretrain_queries = 20;
+  config.monitor_window = 8;
+  config.estimator.reservoir_capacity = 200;
+  config.slo_rules = DefaultLatestSloRules(
+      /*tau=*/1.5, /*p99_latency_ms=*/0.0, /*max_wal_lag_records=*/0.0,
+      /*max_resident_slices=*/0.0, /*max_active_drift=*/-1.0);
+  return config;
+}
+
+/// Ingests a clustered stream and asks a keyword query every 15th
+/// object past the first window (before it the module is warming up and
+/// its accuracy monitor takes no sample).
+void FeedStream(core::LatestModule* module) {
+  const auto objects =
+      testing_support::MakeClusteredObjects(1500, 7, /*duration=*/3000);
+  for (size_t i = 0; i < objects.size(); ++i) {
+    module->OnObject(objects[i]);
+    if (objects[i].timestamp >= 1000 && i % 15 == 0) {
+      stream::Query query;
+      query.keywords = {static_cast<stream::KeywordId>(i % 50)};
+      query.timestamp = objects[i].timestamp;
+      module->OnQuery(query);
+    }
+  }
+}
+
+std::unique_ptr<core::LatestModule> MustCreate(
+    const core::LatestConfig& config) {
+  auto created = core::LatestModule::Create(config);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  return std::move(created).value();
+}
+
+// An idle instance is not degraded: before the accuracy monitor holds a
+// sample the rule has no value, however often it is evaluated. Once a
+// low sample exists it breaches after its debounce as usual.
+TEST(SloMonitorTest, AccuracyRuleWaitsForTheMonitorsFirstSample) {
+  auto module = MustCreate(AccuracyOnlyConfig());
+  SloMonitor& monitor = module->observer().slo_monitor();
+  ASSERT_EQ(monitor.num_rules(), 1u);
+  const uint32_t debounce = monitor.States()[0].rule.for_ticks;
+  ASSERT_GT(debounce, 1u);
+
+  for (uint32_t i = 0; i < 4 * debounce; ++i) {
+    EXPECT_EQ(monitor.EvaluateAll(), 0u) << "evaluation " << i;
+  }
+  EXPECT_FALSE(monitor.degraded());
+  EXPECT_FALSE(monitor.States()[0].has_value);
+  EXPECT_EQ(module->telemetry().events().SnapshotOfType(
+                EventType::kSloBreached).size(),
+            0u);
+
+  FeedStream(module.get());
+  ASSERT_GT(module->queries_answered(), 0u);
+  for (uint32_t i = 1; i < debounce; ++i) {
+    EXPECT_EQ(monitor.EvaluateAll(), 0u) << "inside debounce, tick " << i;
+    EXPECT_TRUE(monitor.States()[0].has_value);
+  }
+  EXPECT_EQ(monitor.EvaluateAll(), 1u);
+  EXPECT_TRUE(monitor.degraded());
+}
+
+// Events the introspection ticker emits carry the module's stream time
+// and query count, not zeros.
+TEST(SloMonitorTest, TickerEventsCarryStreamTimeAndQueryCount) {
+  core::LatestConfig config = AccuracyOnlyConfig();
+  config.enable_introspection = true;
+  config.introspection_port = 0;  // Ephemeral.
+  config.slo_tick_ms = 20;
+  auto module = MustCreate(config);
+  ASSERT_NE(module->observer().introspection(), nullptr);
+  FeedStream(module.get());
+  const uint64_t queries = module->queries_answered();
+  ASSERT_GT(queries, 0u);
+
+  std::vector<Event> breaches;
+  for (int i = 0; i < 500 && breaches.empty(); ++i) {
+    breaches =
+        module->telemetry().events().SnapshotOfType(EventType::kSloBreached);
+    if (breaches.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_EQ(breaches.size(), 1u);
+  EXPECT_EQ(breaches[0].note, "monitor_accuracy");
+  // The ticker may fire while the stream is still being fed, so the
+  // stamps lie between the first sample and the end of the stream.
+  EXPECT_GE(breaches[0].timestamp, 1000);  // Past the warm-up window.
+  EXPECT_LE(breaches[0].timestamp, 3000);
+  EXPECT_GT(breaches[0].query_count, 0u);
+  EXPECT_LE(breaches[0].query_count, queries);
 }
 
 }  // namespace
