@@ -116,7 +116,7 @@ util::Status CheckpointManager::Checkpoint() {
   // old WAL (covered by the new snapshot) is deleted by pruning.
   wal_.reset();  // Syncs + closes the previous log.
   auto wal = WalWriter::Create(WalPath(config_.dir, seq), seq,
-                               config_.wal_group_commit);
+                               config_.wal_group_commit, wal_fsyncs_counter_);
   LATEST_RETURN_IF_ERROR(wal.status());
   wal_ = std::move(wal).value();
   LATEST_RETURN_IF_ERROR(SyncDir(config_.dir));
@@ -153,37 +153,28 @@ util::Status CheckpointManager::MaybeCheckpoint() {
 }
 
 util::Status CheckpointManager::OnObject(const stream::GeoTextObject& obj) {
-  const uint64_t syncs_before = wal_->syncs();
   {
     LATEST_SPAN("wal_append");
     LATEST_RETURN_IF_ERROR(wal_->AppendObject(obj));
   }
   wal_records_counter_->Increment();
-  wal_fsyncs_counter_->Increment(wal_->syncs() - syncs_before);
   module_->OnObject(obj);
   return MaybeCheckpoint();
 }
 
 util::Result<core::QueryOutcome> CheckpointManager::OnQuery(
     const stream::Query& q) {
-  const uint64_t syncs_before = wal_->syncs();
   {
     LATEST_SPAN("wal_append");
     LATEST_RETURN_IF_ERROR(wal_->AppendQuery(q));
   }
   wal_records_counter_->Increment();
-  wal_fsyncs_counter_->Increment(wal_->syncs() - syncs_before);
   core::QueryOutcome outcome = module_->OnQuery(q);
   LATEST_RETURN_IF_ERROR(MaybeCheckpoint());
   return outcome;
 }
 
-util::Status CheckpointManager::Sync() {
-  const uint64_t syncs_before = wal_->syncs();
-  LATEST_RETURN_IF_ERROR(wal_->Sync());
-  wal_fsyncs_counter_->Increment(wal_->syncs() - syncs_before);
-  return util::Status::Ok();
-}
+util::Status CheckpointManager::Sync() { return wal_->Sync(); }
 
 std::vector<uint64_t> CheckpointManager::ListSnapshots(
     const std::string& dir) {

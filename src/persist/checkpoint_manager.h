@@ -21,7 +21,11 @@
 //
 // Group commit bounds loss: a crash forfeits at most the last
 // `wal_group_commit - 1` appended events (they were never acknowledged
-// durable). Everything synced is recovered exactly.
+// durable). Everything synced is recovered exactly. The WAL's own syncer
+// thread writes and fsyncs the groups (wal.h), so OnObject/OnQuery only
+// encode a record and wait on the disk only when that bound would
+// otherwise be exceeded; the syncer counts its fsyncs into
+// `persist_wal_fsyncs_total`.
 
 #ifndef LATEST_PERSIST_CHECKPOINT_MANAGER_H_
 #define LATEST_PERSIST_CHECKPOINT_MANAGER_H_
@@ -75,8 +79,9 @@ class CheckpointManager {
   static util::Result<std::unique_ptr<CheckpointManager>> Attach(
       const DurabilityConfig& config, core::LatestModule* module);
 
-  /// Logs the object durably (write-ahead), forwards it to the module,
-  /// and checkpoints when the automatic interval elapsed.
+  /// Logs the object (write-ahead, durable once its group is fsynced),
+  /// forwards it to the module, and checkpoints when the automatic
+  /// interval elapsed.
   util::Status OnObject(const stream::GeoTextObject& obj);
 
   /// Same for a query; the outcome is the module's.
@@ -85,7 +90,7 @@ class CheckpointManager {
   /// Snapshot now + rotate the WAL + prune old pairs.
   util::Status Checkpoint();
 
-  /// Forces the WAL's buffered tail to disk.
+  /// Waits until every logged event is written and fsynced.
   util::Status Sync();
 
   /// Stream events the module has consumed (snapshot sequence base).

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -39,83 +40,135 @@ util::Status WriteAll(int fd, std::string_view bytes,
 
 util::Result<std::unique_ptr<WalWriter>> WalWriter::Create(
     const std::string& path, uint64_t start_seq,
-    uint32_t group_commit_every) {
+    uint32_t group_commit_every, obs::Counter* fsync_counter) {
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Errno("open", path);
-  std::unique_ptr<WalWriter> writer(new WalWriter(
-      path, fd, start_seq, group_commit_every == 0 ? 1 : group_commit_every));
   util::BinaryWriter header;
   header.WriteU32(kWalMagic);
   header.WriteU32(kWalVersion);
   header.WriteU64(start_seq);
-  LATEST_RETURN_IF_ERROR(WriteAll(fd, header.buffer(), path));
-  writer->bytes_written_ = header.buffer().size();
+  util::Status status = WriteAll(fd, header.buffer(), path);
   // The header must be durable before the file name is relied upon; one
   // fsync here plus the directory sync by the caller covers creation.
-  if (::fsync(fd) != 0) return Errno("fsync", path);
+  if (status.ok() && ::fsync(fd) != 0) status = Errno("fsync", path);
+  if (!status.ok()) {
+    ::close(fd);
+    return status;
+  }
+  std::unique_ptr<WalWriter> writer(
+      new WalWriter(path, fd, start_seq,
+                    group_commit_every == 0 ? 1 : group_commit_every,
+                    fsync_counter));
+  writer->bytes_written_ = header.buffer().size();
   return writer;
 }
 
 WalWriter::WalWriter(std::string path, int fd, uint64_t start_seq,
-                     uint32_t group_commit_every)
+                     uint32_t group_commit_every,
+                     obs::Counter* fsync_counter)
     : path_(std::move(path)),
       fd_(fd),
       start_seq_(start_seq),
+      group_commit_every_(group_commit_every),
+      handoff_at_(std::max<uint32_t>(1, group_commit_every / 2)),
+      fsync_counter_(fsync_counter),
       next_seq_(start_seq + 1),
-      group_commit_every_(group_commit_every) {}
+      syncer_([this] { SyncerLoop(); }) {}
 
 WalWriter::~WalWriter() {
-  if (fd_ >= 0) {
-    Sync();
-    ::close(fd_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-}
-
-util::Status WalWriter::Append(WalRecordType type,
-                               const std::string& payload) {
-  util::BinaryWriter body;
-  body.WriteU32(static_cast<uint32_t>(type));
-  body.WriteU64(next_seq_);
-  body.WriteBytes(payload.data(), payload.size());
-  util::BinaryWriter frame;
-  frame.WriteU32(static_cast<uint32_t>(body.buffer().size()));
-  frame.WriteU32(Crc32(body.buffer()));
-  buffer_.append(frame.buffer());
-  buffer_.append(body.buffer());
-  ++next_seq_;
-  ++pending_;
-  if (pending_ >= group_commit_every_) return Sync();
-  return util::Status::Ok();
+  syncer_cv_.notify_one();
+  syncer_.join();
+  ::close(fd_);
 }
 
 util::Status WalWriter::AppendObject(const stream::GeoTextObject& obj) {
-  util::BinaryWriter payload;
-  EncodeObject(obj, &payload);
-  return Append(WalRecordType::kObject, payload.buffer());
+  body_.Clear();
+  body_.WriteU32(static_cast<uint32_t>(WalRecordType::kObject));
+  body_.WriteU64(next_seq_);
+  EncodeObject(obj, &body_);
+  return Append();
 }
 
 util::Status WalWriter::AppendQuery(const stream::Query& q) {
-  util::BinaryWriter payload;
-  EncodeQuery(q, &payload);
-  return Append(WalRecordType::kQuery, payload.buffer());
+  body_.Clear();
+  body_.WriteU32(static_cast<uint32_t>(WalRecordType::kQuery));
+  body_.WriteU64(next_seq_);
+  EncodeQuery(q, &body_);
+  return Append();
 }
 
-util::Status WalWriter::Flush() {
-  if (buffer_.empty()) return util::Status::Ok();
-  LATEST_RETURN_IF_ERROR(WriteAll(fd_, buffer_, path_));
-  bytes_written_ += buffer_.size();
-  buffer_.clear();
-  return util::Status::Ok();
+util::Status WalWriter::Append() {
+  const std::string& body = body_.buffer();
+  const uint32_t frame[2] = {static_cast<uint32_t>(body.size()),
+                             Crc32(body)};
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!error_.ok()) return error_;
+  pending_bytes_.append(reinterpret_cast<const char*>(frame), sizeof(frame));
+  pending_bytes_.append(body);
+  ++pending_records_;
+  ++next_seq_;
+  bytes_written_ += sizeof(frame) + body.size();
+  if (group_records_ == 0 && pending_records_ >= handoff_at_) {
+    HandOffLocked();
+  }
+  // Returning with G records unsynced would break the loss bound: wait
+  // for the group in flight (handing off the pending one if none is).
+  while (error_.ok() &&
+         pending_records_ + group_records_ >= group_commit_every_) {
+    if (group_records_ == 0) HandOffLocked();
+    done_cv_.wait(lock);
+  }
+  return error_;
 }
 
 util::Status WalWriter::Sync() {
-  if (pending_ == 0 && buffer_.empty()) return util::Status::Ok();
-  LATEST_SPAN("wal_fsync");
-  LATEST_RETURN_IF_ERROR(Flush());
-  if (::fsync(fd_) != 0) return Errno("fsync", path_);
-  pending_ = 0;
-  ++syncs_;
-  return util::Status::Ok();
+  std::unique_lock<std::mutex> lock(mu_);
+  while (error_.ok() && pending_records_ + group_records_ > 0) {
+    if (group_records_ == 0) HandOffLocked();
+    done_cv_.wait(lock);
+  }
+  return error_;
+}
+
+void WalWriter::HandOffLocked() {
+  group_bytes_.swap(pending_bytes_);  // pending_bytes_ is left empty.
+  group_records_ = pending_records_;
+  pending_records_ = 0;
+  syncer_cv_.notify_one();
+}
+
+void WalWriter::SyncerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    syncer_cv_.wait(lock, [this] { return group_records_ > 0 || stop_; });
+    if (group_records_ == 0) {
+      // Stopping: drain the tail, then exit.
+      if (pending_records_ == 0 || !error_.ok()) return;
+      HandOffLocked();
+    }
+    lock.unlock();
+    util::Status status;
+    {
+      LATEST_SPAN("wal_fsync");
+      status = WriteAll(fd_, group_bytes_, path_);
+      if (status.ok() && ::fsync(fd_) != 0) status = Errno("fsync", path_);
+    }
+    group_bytes_.clear();
+    lock.lock();
+    group_records_ = 0;
+    if (status.ok()) {
+      syncs_.fetch_add(1, std::memory_order_relaxed);
+      if (fsync_counter_ != nullptr) fsync_counter_->Increment();
+      if (pending_records_ >= handoff_at_) HandOffLocked();
+    } else {
+      error_ = status;
+    }
+    done_cv_.notify_all();
+  }
 }
 
 util::Status WalReader::Open(const std::string& path) {

@@ -7,22 +7,37 @@
 //     u32 crc      (CRC-32 of the record body)
 //     body: u32 type (1=object, 2=query), u64 seq, payload (stream_codec)
 //
-// Appends are buffered and flushed+fsync'd every `group_commit_every`
-// records (group commit), so a crash loses at most the last unsynced
-// group. The reader stops at the first frame whose length runs past the
-// file or whose CRC mismatches — the torn tail a crash mid-append leaves
-// behind — and reports how many bytes were valid so recovery can
-// truncate.
+// Group commit on a syncer thread. Append only encodes the record into
+// an in-memory group buffer. Each writer owns one syncer thread that
+// runs the group's write() and fsync(), so the appending thread never
+// waits on the disk in the common case. A group is handed to the syncer
+// once half of `group_commit_every` (G) records are pending and no group
+// is in flight. Append waits only when returning would leave G records
+// unsynced, so a crash loses at most the last G-1 appended records, and
+// G = 1 makes every Append wait for its own fsync. A write or fsync
+// failure is sticky: the writer accepts no more records and every later
+// Append or Sync returns that error (a retried fsync can falsely succeed
+// after the kernel dropped the dirty pages).
+//
+// The reader stops at the first frame whose length runs past the file or
+// whose CRC mismatches — the torn tail a crash mid-append leaves behind
+// — and reports how many bytes were valid so recovery can truncate.
 
 #ifndef LATEST_PERSIST_WAL_H_
 #define LATEST_PERSIST_WAL_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "persist/stream_codec.h"
+#include "util/serialization.h"
 #include "util/status.h"
 
 namespace latest::persist {
@@ -35,16 +50,22 @@ enum class WalRecordType : uint32_t {
   kQuery = 2,
 };
 
-/// Appends stream events to a WAL file with group-commit fsync.
+/// Appends stream events to a WAL file; a syncer thread writes and
+/// fsyncs the groups. One thread at a time calls Append*/Sync (the
+/// owner); the accessors below are for that thread too.
 class WalWriter {
  public:
-  /// Creates (truncates) `path` and writes the header. Sequence numbers
-  /// continue from `start_seq` (the covering snapshot's sequence):
-  /// the first record carries start_seq + 1.
+  /// Creates (truncates) `path`, writes and fsyncs the header, and starts
+  /// the syncer. Sequence numbers continue from `start_seq` (the covering
+  /// snapshot's sequence): the first record carries start_seq + 1.
+  /// `fsync_counter`, when set, is incremented by the syncer once per
+  /// group fsync.
   static util::Result<std::unique_ptr<WalWriter>> Create(
       const std::string& path, uint64_t start_seq,
-      uint32_t group_commit_every = 64);
+      uint32_t group_commit_every = 64,
+      obs::Counter* fsync_counter = nullptr);
 
+  /// Drains every pending and in-flight group, stops the syncer, closes.
   ~WalWriter();
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -52,34 +73,56 @@ class WalWriter {
   util::Status AppendObject(const stream::GeoTextObject& obj);
   util::Status AppendQuery(const stream::Query& q);
 
-  /// Flushes buffered records and fsyncs. Idempotent.
+  /// Waits until every appended record is written and fsynced. Idempotent;
+  /// returns the sticky error once a group failed.
   util::Status Sync();
 
   /// Records appended since Create.
   uint64_t appended() const { return next_seq_ - start_seq_ - 1; }
   uint64_t next_seq() const { return next_seq_; }
-  /// fsync calls issued (group commits + explicit Syncs with dirty data).
-  uint64_t syncs() const { return syncs_; }
-  /// Bytes written to the file, including buffered-but-unsynced bytes.
+  /// Group fsyncs the syncer has completed (the header's is not counted).
+  uint64_t syncs() const { return syncs_.load(std::memory_order_relaxed); }
+  /// Bytes appended to the log, header included, whether or not the
+  /// syncer has written them yet.
   uint64_t bytes_written() const { return bytes_written_; }
   const std::string& path() const { return path_; }
 
  private:
   WalWriter(std::string path, int fd, uint64_t start_seq,
-            uint32_t group_commit_every);
+            uint32_t group_commit_every, obs::Counter* fsync_counter);
 
-  util::Status Append(WalRecordType type, const std::string& payload);
-  util::Status Flush();
+  /// Frames `body_` (already holding type, seq and payload) into the
+  /// group buffer and applies the loss bound.
+  util::Status Append();
+  /// Moves the pending records into the syncer's group and wakes it.
+  /// Requires mu_ held and no group in flight.
+  void HandOffLocked();
+  void SyncerLoop();
 
-  std::string path_;
-  int fd_;
-  uint64_t start_seq_;
+  const std::string path_;
+  const int fd_;
+  const uint64_t start_seq_;
+  const uint32_t group_commit_every_;
+  const uint32_t handoff_at_;  // Pending records that start a group.
+  obs::Counter* const fsync_counter_;
+
+  // Owner-thread state.
   uint64_t next_seq_;
-  uint32_t group_commit_every_;
-  uint32_t pending_ = 0;  // Records buffered since the last fsync.
-  uint64_t syncs_ = 0;
   uint64_t bytes_written_ = 0;
-  std::string buffer_;
+  util::BinaryWriter body_;  // Reused per record.
+
+  std::mutex mu_;
+  std::condition_variable syncer_cv_;  // A group was handed off, or stop.
+  std::condition_variable done_cv_;    // A group finished (or failed).
+  std::string pending_bytes_;          // Encoded, not yet handed off.
+  uint32_t pending_records_ = 0;
+  std::string group_bytes_;  // The syncer's while group_records_ > 0.
+  uint32_t group_records_ = 0;
+  util::Status error_;  // Sticky: the first failed write or fsync.
+  bool stop_ = false;
+
+  std::atomic<uint64_t> syncs_{0};
+  std::thread syncer_;
 };
 
 /// One decoded WAL record.

@@ -37,6 +37,10 @@ class BinaryWriter {
   const std::string& buffer() const { return buffer_; }
   std::string&& TakeBuffer() { return std::move(buffer_); }
 
+  /// Empties the buffer but keeps its capacity, so a writer reused per
+  /// record stops allocating once it has seen the largest record.
+  void Clear() { buffer_.clear(); }
+
  private:
   void WriteRaw(const void* data, size_t size) {
     // Zero-size appends are no-ops (and `data` may then legally be null,

@@ -1,14 +1,19 @@
 // End-to-end serve plane: an in-process ServeServer + blocking clients
-// over real loopback sockets. Verifies the three contracts the daemon
-// ships on: (1) answers through the group-commit admission path are
+// over real loopback sockets. Verifies the contracts the daemon ships
+// on: (1) answers through the group-commit admission path are
 // bit-identical to direct LatestModule calls, (2) overload sheds QUERY
-// frames with RETRY_LATER while INGEST keeps landing, and (3) shutdown
-// drains every admitted event before closing. The concurrent-clients
-// test is the TSan target for the IO-thread / batch-thread handoff.
+// frames with RETRY_LATER while INGEST keeps landing, (3) shutdown
+// drains every admitted event before closing, and (4) with a WAL as the
+// ingest hook, the log holds exactly the ACKed objects. The
+// concurrent-clients test is the TSan target for the IO-thread /
+// batch-thread handoff.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <latch>
 #include <map>
@@ -26,6 +31,8 @@
 #include "obs/profiler.h"
 #include "obs/request_trace.h"
 #include "obs/span.h"
+#include "persist/checkpoint_manager.h"
+#include "persist/wal.h"
 #include "tests/test_http_client.h"
 #include "tests/test_stream.h"
 #include "util/json.h"
@@ -682,6 +689,122 @@ TEST(ServeE2eTest, ConcurrentClientsReconcileAndShutdownCleanly) {
   auto lingering = MustConnect(server.port());
   server.Stop();
   EXPECT_FALSE(lingering->ReadResponse().ok());
+}
+
+// The durable ingest path as `latest_serve --checkpoint-dir` wires it:
+// the hook logs each object through CheckpointManager::OnObject, whose
+// WAL syncer writes and fsyncs off the batch thread. After Stop and Sync
+// the log holds exactly the ACKed objects, in the order the batch thread
+// applied them.
+TEST(ServeE2eTest, WalBackedIngestLogsEveryAckedObject) {
+  std::string dir_template =
+      (std::filesystem::temp_directory_path() / "latest_serve_wal_XXXXXX")
+          .string();
+  ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+  const std::string dir = dir_template;
+
+  auto module = MustCreate(TestConfig());
+  persist::DurabilityConfig durability;
+  durability.dir = dir;
+  durability.wal_group_commit = 8;
+  auto manager = persist::CheckpointManager::Attach(durability, module.get());
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  const uint64_t base_seq = (*manager)->last_snapshot_seq();
+
+  std::vector<stream::GeoTextObject> applied;  // Batch thread only.
+  std::atomic<uint64_t> wal_errors{0};
+  ServeServer server(
+      ServeServerConfig{}, module.get(),
+      [&](const stream::GeoTextObject& obj) {
+        if (!(*manager)->OnObject(obj).ok()) wal_errors.fetch_add(1);
+        applied.push_back(obj);
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 2;
+  constexpr uint64_t kChunks = 25;
+  constexpr uint64_t kChunkSize = 64;
+  std::vector<std::vector<uint64_t>> acked(kClients);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      auto client = ServeClient::Connect(server.port());
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      util::Rng rng(300 + static_cast<uint64_t>(t));
+      for (uint64_t chunk = 0; chunk < kChunks; ++chunk) {
+        std::string burst;
+        for (uint64_t i = 0; i < kChunkSize; ++i) {
+          const uint64_t seq = chunk * kChunkSize + i;
+          IngestRequest ingest;
+          ingest.request_id = (static_cast<uint64_t>(t + 1) << 32) | seq;
+          ingest.object.oid = ingest.request_id;
+          ingest.object.loc = {rng.NextDouble(0, 100),
+                               rng.NextDouble(0, 100)};
+          ingest.object.keywords = {
+              static_cast<stream::KeywordId>(rng.NextBounded(50))};
+          ingest.object.timestamp = static_cast<int64_t>(seq);
+          EncodeIngest(ingest, &burst);
+        }
+        if (!(*client)->SendRaw(burst).ok()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (uint64_t i = 0; i < kChunkSize; ++i) {
+          auto response = (*client)->ReadResponse();
+          if (!response.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          if (response->type == FrameType::kIngestAck) {
+            acked[t].push_back(response->ack.request_id);
+          } else if (response->type != FrameType::kRetryLater) {
+            failures.fetch_add(1);
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  server.Stop();
+  ASSERT_TRUE((*manager)->Sync().ok());
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(wal_errors.load(), 0u);
+  std::vector<uint64_t> acked_ids;
+  for (const auto& ids : acked) {
+    acked_ids.insert(acked_ids.end(), ids.begin(), ids.end());
+  }
+  EXPECT_GT(acked_ids.size(), kChunkSize);
+  EXPECT_EQ(server.stats().objects_ingested.load(), acked_ids.size());
+
+  persist::WalReader wal;
+  ASSERT_TRUE(wal.Open(persist::WalPath(dir, base_seq)).ok());
+  EXPECT_FALSE(wal.torn_tail());
+  ASSERT_EQ(wal.records().size(), applied.size());
+  std::vector<uint64_t> logged_ids;
+  for (size_t i = 0; i < applied.size(); ++i) {
+    const persist::WalRecord& record = wal.records()[i];
+    ASSERT_EQ(record.type, persist::WalRecordType::kObject);
+    EXPECT_EQ(record.seq, base_seq + 1 + i);
+    EXPECT_EQ(record.object.oid, applied[i].oid) << "record " << i;
+    EXPECT_EQ(record.object.timestamp, applied[i].timestamp);
+    EXPECT_EQ(record.object.loc.x, applied[i].loc.x);
+    EXPECT_EQ(record.object.loc.y, applied[i].loc.y);
+    EXPECT_EQ(record.object.keywords, applied[i].keywords);
+    logged_ids.push_back(record.object.oid);
+  }
+  std::sort(acked_ids.begin(), acked_ids.end());
+  std::sort(logged_ids.begin(), logged_ids.end());
+  EXPECT_EQ(logged_ids, acked_ids);
+
+  manager->reset();
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 /// Installs a span collector for one test body and clears the global
