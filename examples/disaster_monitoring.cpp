@@ -117,7 +117,6 @@ int main() {
       }
     }
     latest::stream::CanonicalizeKeywords(&post.keywords);
-    dictionary.CountOccurrences(post.keywords);
     module.OnObject(post);
 
     // The responders poll every ~6 minutes: how many posts mention

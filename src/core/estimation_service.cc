@@ -5,18 +5,15 @@
 namespace latest::core {
 
 util::Result<std::unique_ptr<EstimationService>> EstimationService::Create(
-    const LatestConfig& config,
-    const stream::TokenizerOptions& tokenizer_options) {
+    const LatestConfig& config) {
   auto module = LatestModule::Create(config);
   if (!module.ok()) return module.status();
-  return std::unique_ptr<EstimationService>(new EstimationService(
-      std::move(module).value(), tokenizer_options));
+  return std::unique_ptr<EstimationService>(
+      new EstimationService(std::move(module).value()));
 }
 
-EstimationService::EstimationService(
-    std::unique_ptr<LatestModule> module,
-    const stream::TokenizerOptions& tokenizer_options)
-    : module_(std::move(module)), tokenizer_(tokenizer_options) {
+EstimationService::EstimationService(std::unique_ptr<LatestModule> module)
+    : module_(std::move(module)) {
   obs::MetricsRegistry& registry = module_->telemetry().registry();
   posts_counter_ = registry.GetCounter(
       "latest_service_posts_total", "Raw posts ingested through the service");
@@ -33,13 +30,6 @@ EstimationService::EstimationService(
       "latest_service_vocabulary_size", "Distinct keywords interned");
 }
 
-void EstimationService::IngestPost(stream::ObjectId oid,
-                                   const geo::Point& location,
-                                   std::string_view text,
-                                   stream::Timestamp timestamp) {
-  IngestKeywords(oid, location, tokenizer_.Tokenize(text), timestamp);
-}
-
 void EstimationService::IngestKeywords(
     stream::ObjectId oid, const geo::Point& location,
     const std::vector<std::string>& keywords, stream::Timestamp timestamp) {
@@ -52,7 +42,6 @@ void EstimationService::IngestKeywords(
     obj.keywords.push_back(dictionary_.Intern(keyword));
   }
   stream::CanonicalizeKeywords(&obj.keywords);
-  dictionary_.CountOccurrences(obj.keywords);
   posts_counter_->Increment();
   vocabulary_gauge_->Set(static_cast<double>(dictionary_.size()));
   module_->OnObject(obj);
@@ -98,13 +87,6 @@ util::Result<QueryOutcome> EstimationService::EstimateCount(
     return util::Status::InvalidArgument("spatial range has no area");
   }
   return module_->OnQuery(q);
-}
-
-uint64_t EstimationService::KeywordOccurrences(
-    std::string_view keyword) const {
-  stream::KeywordId id;
-  if (!dictionary_.Lookup(keyword, &id)) return 0;
-  return dictionary_.OccurrenceCount(id);
 }
 
 }  // namespace latest::core

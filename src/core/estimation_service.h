@@ -1,11 +1,10 @@
 // EstimationService: a string-keyword facade over LatestModule.
 //
 // LatestModule works with interned keyword ids, which is the right
-// interface inside a system. Applications, however, hold raw posts and
-// query strings. The service owns a keyword dictionary and a tokenizer
-// and exposes:
+// interface inside a system. Applications, however, hold keyword and
+// query strings. The service owns a keyword dictionary and exposes:
 //
-//   service.IngestPost(oid, lon, lat, "House fire near #downtown", t);
+//   service.IngestKeywords(oid, {lon, lat}, {"fire", "#downtown"}, t);
 //   auto est = service.EstimateCount(area, {"fire", "#downtown"}, t);
 //
 // Unknown query keywords (never seen on the stream) are dropped before
@@ -17,12 +16,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/latest_module.h"
 #include "stream/keyword_dictionary.h"
-#include "stream/tokenizer.h"
 
 namespace latest::core {
 
@@ -31,19 +28,13 @@ class EstimationService {
  public:
   /// Fails with InvalidArgument on a bad module configuration.
   static util::Result<std::unique_ptr<EstimationService>> Create(
-      const LatestConfig& config,
-      const stream::TokenizerOptions& tokenizer_options =
-          stream::TokenizerOptions());
+      const LatestConfig& config);
 
   EstimationService(const EstimationService&) = delete;
   EstimationService& operator=(const EstimationService&) = delete;
 
-  /// Ingests one raw post: the text is tokenized and interned.
-  /// Timestamps must be non-decreasing.
-  void IngestPost(stream::ObjectId oid, const geo::Point& location,
-                  std::string_view text, stream::Timestamp timestamp);
-
-  /// Ingests a post with pre-split keyword strings (no tokenization).
+  /// Ingests one post: its keyword strings are interned. Timestamps must
+  /// be non-decreasing.
   void IngestKeywords(stream::ObjectId oid, const geo::Point& location,
                       const std::vector<std::string>& keywords,
                       stream::Timestamp timestamp);
@@ -59,20 +50,15 @@ class EstimationService {
   /// Number of distinct keywords interned so far.
   size_t vocabulary_size() const { return dictionary_.size(); }
 
-  /// How often a keyword string has appeared on the stream (0 if never).
-  uint64_t KeywordOccurrences(std::string_view keyword) const;
-
   const LatestModule& module() const { return *module_; }
   LatestModule& module() { return *module_; }
   const stream::KeywordDictionary& dictionary() const { return dictionary_; }
 
  private:
-  EstimationService(std::unique_ptr<LatestModule> module,
-                    const stream::TokenizerOptions& tokenizer_options);
+  explicit EstimationService(std::unique_ptr<LatestModule> module);
 
   std::unique_ptr<LatestModule> module_;
   stream::KeywordDictionary dictionary_;
-  stream::Tokenizer tokenizer_;
 
   // Service-layer telemetry (owned by the module's registry).
   obs::Counter* posts_counter_ = nullptr;

@@ -534,13 +534,6 @@ util::Status LatestModule::LoadState(util::BinaryReader* reader) {
   return util::Status::Ok();
 }
 
-void LatestModule::ResetModel() {
-  model_->Reset();
-  error_since_retrain_ = 0.0;
-  queries_since_retrain_ = 0;
-  telemetry_->events().Append(MakeEvent(obs::EventType::kModelReset));
-}
-
 void LatestModule::TrackModelError(double relative_error) {
   if (config_.auto_retrain_error_threshold <= 0.0) return;
   error_since_retrain_ += relative_error;

@@ -140,7 +140,7 @@ struct LatestConfig {
 
   /// Live introspection plane (obs/statusz.h). When enabled, Create()
   /// starts an embedded HTTP server on 127.0.0.1:`introspection_port`
-  /// serving /metrics, /vars, /healthz, /statusz, and /tracez; a port of
+  /// serving /metrics, /healthz, /statusz, and /tracez; a port of
   /// 0 binds an ephemeral one (read it back via
   /// observer().introspection()->port()).
   /// All introspection fields are deliberately EXCLUDED from the
@@ -289,12 +289,6 @@ class LatestModule {
 
   const LatestConfig& config() const { return config_; }
 
-  /// Drops the learned model (the paper's manual retraining trigger); it
-  /// re-grows from subsequent training records.
-  void ResetModel();
-
-  /// Automatic model retrainings performed so far (telemetry-backed).
-  uint64_t model_retrains() const { return retrains_counter_->value(); }
 
   /// Metrics registry and lifecycle event log.
   obs::Telemetry& telemetry() { return *telemetry_; }

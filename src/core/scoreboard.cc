@@ -2,9 +2,9 @@
 
 namespace latest::core {
 
-Scoreboard::Scoreboard(double ewma_alpha) : ewma_alpha_(ewma_alpha) {
+Scoreboard::Scoreboard(double ewma_alpha) {
   for (auto& row : cells_) {
-    for (auto& cell : row) cell = Cell(ewma_alpha_);
+    for (auto& cell : row) cell = Cell(ewma_alpha);
   }
 }
 
@@ -134,14 +134,6 @@ double Scoreboard::LatencyOf(stream::QueryType type,
   return CellOf(type, kind).latency_ms.Value();
 }
 
-void Scoreboard::Reset() {
-  for (auto& row : cells_) {
-    for (auto& cell : row) cell = Cell(ewma_alpha_);
-  }
-  latency_scaler_.Reset();
-}
-
-
 void Scoreboard::Serialize(util::BinaryWriter* writer,
                            bool include_latency) const {
   writer->WriteU32(kNumTypes);
@@ -165,8 +157,7 @@ void Scoreboard::Serialize(util::BinaryWriter* writer,
 }
 
 util::Status Scoreboard::Restore(util::BinaryReader* reader) {
-  auto fail = [this](const char* what) {
-    Reset();
+  auto fail = [](const char* what) {
     return util::Status::InvalidArgument(
         std::string("corrupt scoreboard snapshot: ") + what);
   };

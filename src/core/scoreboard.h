@@ -94,8 +94,6 @@ class Scoreboard {
     return latency_scaler_.Scale(latency_ms);
   }
 
-  void Reset();
-
   /// Persists every cell and the latency scaler. With
   /// `include_latency = false` the wall-clock side (per-cell latency
   /// averages and the latency scaler) is omitted: that layout is for
@@ -104,8 +102,9 @@ class Scoreboard {
   void Serialize(util::BinaryWriter* writer,
                  bool include_latency = true) const;
 
-  /// Restores a snapshot written by Serialize(writer, true); on failure
-  /// the scoreboard is reset and an error is returned.
+  /// Restores a snapshot written by Serialize(writer, true). On failure
+  /// an error is returned and the scoreboard is partly restored: discard
+  /// it.
   util::Status Restore(util::BinaryReader* reader);
 
  private:
@@ -136,7 +135,6 @@ class Scoreboard {
 
   void PublishCell(stream::QueryType type, estimators::EstimatorKind kind);
 
-  double ewma_alpha_;
   std::array<std::array<Cell, estimators::kNumEstimatorKinds>, kNumTypes>
       cells_;
   std::array<std::array<CellGauges, estimators::kNumEstimatorKinds>,

@@ -405,7 +405,12 @@ void AaspEstimator::SaveStateImpl(util::BinaryWriter* writer) const {
 }
 
 bool AaspEstimator::LoadStateImpl(util::BinaryReader* reader) {
-  ResetImpl();
+  // LoadNode grows every tree from a fresh root; the other members are
+  // read whole below.
+  for (auto& partition : partitions_) {
+    partition.root = MakeRoot();
+    partition.num_nodes = 1;
+  }
   uint32_t head_slice;
   uint64_t num_partitions;
   if (!reader->ReadU32(&head_slice) || head_slice >= num_slices_ ||
@@ -427,20 +432,6 @@ bool AaspEstimator::LoadStateImpl(util::BinaryReader* reader) {
   if (!reader->ReadU64(&inserts_since_cache_)) return false;
   untracked_cache_valid_ = false;
   return true;
-}
-
-void AaspEstimator::ResetImpl() {
-  for (auto& partition : partitions_) {
-    partition.root = MakeRoot();
-    partition.num_nodes = 1;
-  }
-  head_slice_ = 0;
-  global_keywords_.Clear();
-  global_keyword_objects_ = 0.0;
-  for (auto& kmv : slice_kmv_) kmv.Clear();
-  cached_untracked_count_ = 0.0;
-  untracked_cache_valid_ = false;
-  inserts_since_cache_ = 0;
 }
 
 }  // namespace latest::estimators

@@ -63,7 +63,6 @@ class AaspEstimator : public WindowedEstimatorBase {
  protected:
   void InsertImpl(const stream::GeoTextObject& obj) override;
   void RotateImpl() override;
-  void ResetImpl() override;
   void SaveStateImpl(util::BinaryWriter* writer) const override;
   bool LoadStateImpl(util::BinaryReader* reader) override;
 

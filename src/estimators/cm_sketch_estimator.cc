@@ -49,10 +49,6 @@ void CountMinSketch::Decay(double factor) {
   for (double& c : counters_) c *= factor;
 }
 
-void CountMinSketch::Clear() {
-  std::fill(counters_.begin(), counters_.end(), 0.0);
-}
-
 void CountMinSketch::Save(util::BinaryWriter* writer) const {
   writer->WriteU32(depth_);
   writer->WriteU32(width_);
@@ -171,13 +167,6 @@ double CmSketchEstimator::Estimate(const stream::Query& q) const {
 size_t CmSketchEstimator::MemoryBytes() const {
   return sizeof(*this) + cell_counts_.size() * sizeof(double) +
          keyword_sketch_.MemoryBytes() + pair_sketch_.MemoryBytes();
-}
-
-void CmSketchEstimator::ResetImpl() {
-  std::fill(cell_counts_.begin(), cell_counts_.end(), 0.0);
-  decayed_population_ = 0.0;
-  keyword_sketch_.Clear();
-  pair_sketch_.Clear();
 }
 
 void CmSketchEstimator::SaveStateImpl(util::BinaryWriter* writer) const {

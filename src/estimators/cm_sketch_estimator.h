@@ -43,8 +43,6 @@ class CountMinSketch {
   /// Multiplies every counter by `factor` (window decay).
   void Decay(double factor);
 
-  void Clear();
-
   size_t MemoryBytes() const { return counters_.size() * sizeof(double); }
 
   /// Persists the counter matrix (depth/width/seed written for
@@ -78,7 +76,6 @@ class CmSketchEstimator : public WindowedEstimatorBase {
  protected:
   void InsertImpl(const stream::GeoTextObject& obj) override;
   void RotateImpl() override;
-  void ResetImpl() override;
   void SaveStateImpl(util::BinaryWriter* writer) const override;
   bool LoadStateImpl(util::BinaryReader* reader) override;
 

@@ -154,17 +154,13 @@ class Estimator {
   /// Objects currently inside this estimator's window view.
   virtual uint64_t seen_population() const = 0;
 
-  /// Wipes all window state (the paper wipes inactive estimators to keep a
-  /// single active structure).
-  virtual void Reset() = 0;
-
   /// Persists the complete window state (synopses, samples, weights, RNG
   /// streams) so a restored instance continues bit-identically.
   virtual void SaveState(util::BinaryWriter* writer) const = 0;
 
   /// Restores a state persisted by SaveState on an identically configured
-  /// instance. False on shape mismatch or truncation; the estimator is
-  /// left reset in that case.
+  /// instance. False on shape mismatch or truncation; the instance is then
+  /// partly restored, so discard it.
   virtual bool LoadState(util::BinaryReader* reader) = 0;
 };
 

@@ -225,14 +225,4 @@ bool FfnEstimator::LoadStateImpl(util::BinaryReader* reader) {
   return reader->ReadU64(&num_feedback_);
 }
 
-void FfnEstimator::ResetImpl() {
-  // The learned model is the estimator's value; wiping window state resets
-  // only the stream statistics. (LATEST wipes inactive estimators' window
-  // structures; a workload-driven model would be retrained from the log,
-  // which the replay buffer emulates cheaply.)
-  std::fill(keyword_buckets_.begin(), keyword_buckets_.end(), 0.0);
-  keyword_objects_ = 0.0;
-  std::fill(prior_counts_.begin(), prior_counts_.end(), 0.0);
-}
-
 }  // namespace latest::estimators

@@ -35,8 +35,6 @@ class FfnEstimator : public WindowedEstimatorBase {
                   uint64_t actual) override;
   size_t MemoryBytes() const override;
 
-  /// Number of feedback records learned from (testing hook).
-  uint64_t num_feedback() const { return num_feedback_; }
 
   /// The feature vector the network sees for q (testing hook).
   std::vector<double> Featurize(const stream::Query& q) const;
@@ -44,7 +42,6 @@ class FfnEstimator : public WindowedEstimatorBase {
  protected:
   void InsertImpl(const stream::GeoTextObject& obj) override;
   void RotateImpl() override;
-  void ResetImpl() override;
   void SaveStateImpl(util::BinaryWriter* writer) const override;
   bool LoadStateImpl(util::BinaryReader* reader) override;
 

@@ -99,12 +99,6 @@ size_t Histogram2dEstimator::MemoryBytes() const {
          live_counts_.size() * sizeof(uint64_t);
 }
 
-void Histogram2dEstimator::ResetImpl() {
-  std::fill(slice_counts_.begin(), slice_counts_.end(), 0);
-  std::fill(live_counts_.begin(), live_counts_.end(), 0);
-  head_slice_ = 0;
-}
-
 void Histogram2dEstimator::SaveStateImpl(util::BinaryWriter* writer) const {
   writer->WriteU64(slice_counts_.size());
   writer->WriteBytes(slice_counts_.data(),

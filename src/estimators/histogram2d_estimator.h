@@ -40,7 +40,6 @@ class Histogram2dEstimator : public WindowedEstimatorBase {
   void InsertImpl(const stream::GeoTextObject& obj) override;
   void InsertBatchImpl(const stream::GeoTextObject* objs, size_t n) override;
   void RotateImpl() override;
-  void ResetImpl() override;
   void SaveStateImpl(util::BinaryWriter* writer) const override;
   bool LoadStateImpl(util::BinaryReader* reader) override;
 

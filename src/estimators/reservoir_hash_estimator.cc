@@ -151,8 +151,6 @@ size_t ReservoirHashEstimator::MemoryBytes() const {
   return bytes;
 }
 
-void ReservoirHashEstimator::ResetImpl() { slices_.Clear(); }
-
 void ReservoirHashEstimator::SaveStateImpl(util::BinaryWriter* writer) const {
   // by_cell is rebuilt from sample_cells on load: match counting per cell
   // is order-independent, so the rebuilt map estimates identically.

@@ -37,7 +37,6 @@ class ReservoirHashEstimator : public WindowedEstimatorBase {
  protected:
   void InsertImpl(const stream::GeoTextObject& obj) override;
   void RotateImpl() override;
-  void ResetImpl() override;
   void SaveStateImpl(util::BinaryWriter* writer) const override;
   bool LoadStateImpl(util::BinaryReader* reader) override;
 

@@ -61,8 +61,6 @@ size_t ReservoirListEstimator::MemoryBytes() const {
   return bytes;
 }
 
-void ReservoirListEstimator::ResetImpl() { slices_.Clear(); }
-
 void ReservoirListEstimator::SaveStateImpl(util::BinaryWriter* writer) const {
   slices_.Save(writer,
                [](const SliceReservoir& slice, util::BinaryWriter* w) {

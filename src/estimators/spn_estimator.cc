@@ -266,18 +266,4 @@ bool SpnEstimator::LoadStateImpl(util::BinaryReader* reader) {
   return rng_.Load(reader);
 }
 
-void SpnEstimator::ResetImpl() {
-  for (auto& cluster : clusters_) {
-    cluster.weight = 0.0;
-    std::fill(cluster.x_bins.begin(), cluster.x_bins.end(), 0.0);
-    std::fill(cluster.y_bins.begin(), cluster.y_bins.end(), 0.0);
-    std::fill(cluster.keyword_buckets.begin(), cluster.keyword_buckets.end(),
-              0.0);
-    cluster.center.x = rng_.NextDouble(bounds_.min_x, bounds_.max_x);
-    cluster.center.y = rng_.NextDouble(bounds_.min_y, bounds_.max_y);
-  }
-  total_weight_ = 0.0;
-  samples_.Clear();
-}
-
 }  // namespace latest::estimators

@@ -43,7 +43,6 @@ class SpnEstimator : public WindowedEstimatorBase {
  protected:
   void InsertImpl(const stream::GeoTextObject& obj) override;
   void RotateImpl() override;
-  void ResetImpl() override;
   void SaveStateImpl(util::BinaryWriter* writer) const override;
   bool LoadStateImpl(util::BinaryReader* reader) override;
 

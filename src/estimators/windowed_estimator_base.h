@@ -29,22 +29,13 @@ class WindowedEstimatorBase : public Estimator {
 
   uint64_t seen_population() const final { return population_.total(); }
 
-  void Reset() final {
-    ResetImpl();
-    population_.Clear();
-  }
-
   void SaveState(util::BinaryWriter* writer) const final {
     population_.Save(writer);
     SaveStateImpl(writer);
   }
 
   bool LoadState(util::BinaryReader* reader) final {
-    if (!population_.Load(reader) || !LoadStateImpl(reader)) {
-      Reset();
-      return false;
-    }
-    return true;
+    return population_.Load(reader) && LoadStateImpl(reader);
   }
 
  protected:
@@ -63,14 +54,10 @@ class WindowedEstimatorBase : public Estimator {
   /// Expires the oldest slice of subclass state.
   virtual void RotateImpl() = 0;
 
-  /// Wipes subclass state.
-  virtual void ResetImpl() = 0;
-
   /// Persists subclass state (the shared population is already written).
   virtual void SaveStateImpl(util::BinaryWriter* writer) const = 0;
 
-  /// Restores subclass state; false on mismatch or truncation (the caller
-  /// resets the estimator).
+  /// Restores subclass state; false on mismatch or truncation.
   virtual bool LoadStateImpl(util::BinaryReader* reader) = 0;
 
   const stream::WindowPopulation& population() const { return population_; }

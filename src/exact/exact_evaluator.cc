@@ -70,12 +70,6 @@ void ExactEvaluator::EvictExpired(stream::Timestamp now) {
   store_.DropBefore(cutoff);
 }
 
-void ExactEvaluator::Clear() {
-  grid_.Clear();
-  inverted_.Clear();
-  store_.Clear();
-}
-
 void ExactEvaluator::Save(util::BinaryWriter* writer) const {
   store_.Save(writer);
 }
@@ -83,10 +77,7 @@ void ExactEvaluator::Save(util::BinaryWriter* writer) const {
 bool ExactEvaluator::Load(util::BinaryReader* reader) {
   grid_.Clear();
   inverted_.Clear();
-  if (!store_.Load(reader)) {
-    Clear();
-    return false;
-  }
+  if (!store_.Load(reader)) return false;
   // Rebuild the row-reference indexes from the restored columns. The
   // original indexes may have lazily evicted some resident rows already;
   // re-inserting them is harmless — they are re-evicted on the next scan

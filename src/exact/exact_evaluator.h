@@ -53,8 +53,6 @@ class ExactEvaluator {
   /// The columnar store backing both indexes (for occupancy gauges).
   const stream::WindowStore& store() const { return store_; }
 
-  void Clear();
-
   /// Persists the columnar store only: the grid and inverted indexes are
   /// derived data (row references) and are rebuilt on Load.
   void Save(util::BinaryWriter* writer) const;

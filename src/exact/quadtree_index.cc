@@ -147,12 +147,4 @@ void QuadTreeIndex::EvictBefore(stream::Timestamp cutoff) {
   EvictNode(root_.get(), cutoff, reader);
 }
 
-void QuadTreeIndex::Clear() {
-  const geo::Rect bounds = root_->cell;
-  root_ = std::make_unique<Node>();
-  root_->cell = bounds;
-  size_ = 0;
-  num_nodes_ = 1;
-}
-
 }  // namespace latest::exact

@@ -54,8 +54,6 @@ class QuadTreeIndex {
   /// Number of tree nodes (internal + leaves), for memory accounting.
   uint64_t num_nodes() const { return num_nodes_; }
 
-  void Clear();
-
  private:
   struct Node {
     geo::Rect cell;

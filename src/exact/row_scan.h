@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "simd/kernels.h"
 #include "stream/query.h"
 #include "stream/window_store.h"
 
@@ -37,16 +36,16 @@ class RowScanner {
   }
 
   /// Full RC-DVQ predicate against one live row (window membership is the
-  /// caller's concern). The keyword test dispatches through the kernel
-  /// layer, which is exact at every tier.
+  /// caller's concern).
   bool MatchesQuery(Row row, const stream::Query& q) {
     Resolve(row);
     const Row k = row - slab_.base;
     if (q.HasRange() && !q.range->Contains(slab_.locs[k])) return false;
     if (q.HasKeywords()) {
       const stream::KeywordSpan span = slab_.spans[k];
-      if (!simd::AnyKeywordIntersect(slab_.arena->Data(span), span.len,
-                                     q.keywords.data(), q.keywords.size())) {
+      if (!stream::KeywordSetsIntersect(slab_.arena->Data(span), span.len,
+                                        q.keywords.data(),
+                                        q.keywords.size())) {
         return false;
       }
     }

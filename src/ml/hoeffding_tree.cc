@@ -94,8 +94,6 @@ HoeffdingTree::HoeffdingTree(const FeatureSchema& schema,
 }
 
 HoeffdingTree::~HoeffdingTree() = default;
-HoeffdingTree::HoeffdingTree(HoeffdingTree&&) noexcept = default;
-HoeffdingTree& HoeffdingTree::operator=(HoeffdingTree&&) noexcept = default;
 
 void HoeffdingTree::InitLeafStats(Node* node) {
   auto& s = node->stats;

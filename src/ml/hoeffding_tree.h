@@ -56,11 +56,9 @@ class HoeffdingTree {
   HoeffdingTree(const FeatureSchema& schema, const HoeffdingTreeConfig& config);
   ~HoeffdingTree();
 
-  /// Non-copyable (owns a node tree), movable.
+  /// Non-copyable (owns a node tree).
   HoeffdingTree(const HoeffdingTree&) = delete;
   HoeffdingTree& operator=(const HoeffdingTree&) = delete;
-  HoeffdingTree(HoeffdingTree&&) noexcept;
-  HoeffdingTree& operator=(HoeffdingTree&&) noexcept;
 
   /// Consumes one labeled record (constant amortized time).
   void Train(const TrainingExample& example);
@@ -87,8 +85,8 @@ class HoeffdingTree {
   const FeatureSchema& schema() const { return schema_; }
   const HoeffdingTreeConfig& config() const { return config_; }
 
-  /// Discards the model (the paper's manual retraining trigger re-grows
-  /// the tree from subsequent records).
+  /// Discards the model; the Section V-D retraining trigger re-grows the
+  /// tree from subsequent records.
   void Reset();
 
   /// Persists the full tree (structure + sufficient statistics) so a

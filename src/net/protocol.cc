@@ -66,18 +66,6 @@ bool ReadTraceContext(util::BinaryReader* r, WireTraceContext* trace) {
 
 }  // namespace
 
-bool IsRequestType(uint8_t type) {
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::kIngest:
-    case FrameType::kQuery:
-    case FrameType::kStatus:
-    case FrameType::kHello:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void EncodeIngest(const IngestRequest& req, std::string* out) {
   util::BinaryWriter w;
   w.WriteU64(req.request_id);

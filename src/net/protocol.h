@@ -94,9 +94,6 @@ inline constexpr uint8_t kTraceFlagSampled = 1u << 0;
 /// Wire size of the optional trace-context trailer.
 inline constexpr size_t kTraceContextBytes = 9;
 
-/// True for types a client may send.
-bool IsRequestType(uint8_t type);
-
 /// Optional request-scoped trace context carried by INGEST/QUERY.
 struct WireTraceContext {
   bool present = false;

@@ -79,17 +79,6 @@ void ServeServer::RegisterMetrics() {
       "latest_serve_queue_wait_ms",
       "Admission-to-dequeue wait before batch processing",
       obs::Histogram::LatencyBucketsMs(), {{"class", "ingest"}});
-  // Tail exemplars: retain {value, trace_id, request_id} for slow
-  // observations so /vars can link a latency spike to its trace.
-  if (query_latency_histogram_ != nullptr) {
-    query_latency_histogram_->EnableExemplars(/*capacity=*/8);
-  }
-  if (query_queue_wait_histogram_ != nullptr) {
-    query_queue_wait_histogram_->EnableExemplars(/*capacity=*/8);
-  }
-  if (ingest_queue_wait_histogram_ != nullptr) {
-    ingest_queue_wait_histogram_->EnableExemplars(/*capacity=*/8);
-  }
 }
 
 util::Status ServeServer::Start() {
@@ -634,8 +623,7 @@ void ServeServer::ProcessBatch(std::vector<AdmittedEvent>& batch,
         static_cast<double>(std::max<int64_t>(
             0, event.dequeue_micros - event.admit_micros)) /
         1000.0;
-    histogram->ObserveWithExemplar(wait_ms, event.trace_id,
-                                   event.request_id);
+    histogram->Observe(wait_ms);
   };
 
   auto flush_queries = [&] {
@@ -682,10 +670,9 @@ void ServeServer::ProcessBatch(std::vector<AdmittedEvent>& batch,
       if (queries_counter_ != nullptr) queries_counter_->Increment();
       if (frames_out_counter_ != nullptr) frames_out_counter_->Increment();
       if (query_latency_histogram_ != nullptr) {
-        query_latency_histogram_->ObserveWithExemplar(
+        query_latency_histogram_->Observe(
             static_cast<double>(run_end_micros - event.admit_micros) /
-                1000.0,
-            event.trace_id, event.request_id);
+            1000.0);
       }
       observe_queue_wait(event, query_queue_wait_histogram_);
       obs::RequestTraceStore::Record record = start_record(

@@ -88,12 +88,6 @@ bool AdwinLite::Update(double value) {
   return false;
 }
 
-void AdwinLite::Reset() {
-  window_.clear();
-  window_sum_ = 0.0;
-  samples_ = 0;
-}
-
 DriftMonitor::DriftMonitor() : DriftMonitor(Options()) {}
 
 DriftMonitor::DriftMonitor(Options options) : options_(options) {}

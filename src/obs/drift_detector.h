@@ -92,8 +92,6 @@ class AdwinLite {
   /// on the post-change distribution automatically.
   bool Update(double value);
 
-  void Reset();
-
   size_t window_size() const { return window_.size(); }
   double window_mean() const;
 

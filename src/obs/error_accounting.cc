@@ -156,14 +156,6 @@ void ErrorAccountant::FillStats(const Slot& slot,
   out->max_qerror = slot.max_qerror;
 }
 
-EstimatorErrorStats ErrorAccountant::Stats(
-    estimators::EstimatorKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  EstimatorErrorStats out;
-  FillStats(slots_[static_cast<uint32_t>(kind)], kind, &out);
-  return out;
-}
-
 std::vector<EstimatorErrorStats> ErrorAccountant::AllStats() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<EstimatorErrorStats> out;

@@ -78,9 +78,6 @@ class ErrorAccountant {
   void Record(estimators::EstimatorKind kind, double estimate,
               double actual);
 
-  /// Current statistics for one kind (zeros when never measured).
-  EstimatorErrorStats Stats(estimators::EstimatorKind kind) const;
-
   /// Statistics for every kind with at least one sample.
   std::vector<EstimatorErrorStats> AllStats() const;
 

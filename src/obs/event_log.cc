@@ -26,8 +26,6 @@ const char* EventTypeName(EventType type) {
       return "switched";
     case EventType::kModelRetrained:
       return "model_retrained";
-    case EventType::kModelReset:
-      return "model_reset";
     case EventType::kSloBreached:
       return "slo_breached";
     case EventType::kSloRecovered:
@@ -52,7 +50,6 @@ EventSeverity SeverityOf(EventType type) {
     case EventType::kAccuracyBelowSwitchThreshold:
     case EventType::kDriftDetected:
       return EventSeverity::kWarning;
-    case EventType::kModelReset:
     case EventType::kSloBreached:
       return EventSeverity::kError;
   }
@@ -121,11 +118,6 @@ uint64_t EventLog::total_appended() const {
   return total_;
 }
 
-uint64_t EventLog::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_ > ring_.size() ? total_ - ring_.size() : 0;
-}
-
 uint64_t EventLog::dropped_by_severity(EventSeverity severity) const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_by_severity_[static_cast<size_t>(severity)];
@@ -163,12 +155,6 @@ std::vector<Event> EventLog::SnapshotOfSeverity(EventSeverity severity) const {
     if (SeverityOf(event.type) == severity) out.push_back(event);
   }
   return out;
-}
-
-void EventLog::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
 }
 
 namespace {
@@ -239,7 +225,6 @@ std::string FormatEvent(const Event& event) {
                     event.monitor_accuracy, KindLabel(event.from_estimator));
       break;
     case EventType::kModelRetrained:
-    case EventType::kModelReset:
       std::snprintf(line, sizeof(line),
                     "[t=%lld q=%llu] %s (mean_error=%.3f)",
                     static_cast<long long>(event.timestamp),

@@ -41,8 +41,6 @@ enum class EventType : uint32_t {
   kSwitched = 6,
   /// The automatic retraining trigger dropped the learning model.
   kModelRetrained = 7,
-  /// The model was reset manually (ResetModel / failed restore).
-  kModelReset = 8,
   /// A declarative SLO rule started breaching (obs/slo_monitor.h).
   kSloBreached = 9,
   /// A breached SLO rule returned inside its threshold.
@@ -61,7 +59,7 @@ const char* EventTypeName(EventType type);
 enum class EventSeverity : uint32_t {
   kInfo = 0,     // Routine lifecycle progress (phase change, recovery).
   kWarning = 1,  // Degradation signals (threshold crossings, drift).
-  kError = 2,    // Breaches and forced resets (SLO breach, model reset).
+  kError = 2,    // Breaches (SLO breach).
 };
 
 constexpr size_t kNumEventSeverities = 3;
@@ -125,8 +123,6 @@ class EventLog {
   /// Events appended over the log's lifetime, including overwritten ones.
   uint64_t total_appended() const;
 
-  /// Events overwritten by ring wraparound (lost to Snapshot).
-  uint64_t dropped() const;
 
   /// Events of one severity overwritten by ring wraparound. Lets the
   /// /statusz severity filter report what its view is missing.
@@ -140,8 +136,6 @@ class EventLog {
 
   /// Retained events of one severity, oldest first.
   std::vector<Event> SnapshotOfSeverity(EventSeverity severity) const;
-
-  void Clear();
 
  private:
   mutable std::mutex mu_;

@@ -7,12 +7,18 @@
 
 namespace latest::obs {
 
+namespace {
+
+/// Adds `delta` to an atomic double with a CAS loop (portable across
+/// standard libraries that lack atomic<double>::fetch_add).
 void AtomicAddDouble(std::atomic<double>* target, double delta) {
   double current = target->load(std::memory_order_relaxed);
   while (!target->compare_exchange_weak(current, current + delta,
                                         std::memory_order_relaxed)) {
   }
 }
+
+}  // namespace
 
 // --------------------------------------------------------------------
 // Histogram
@@ -53,58 +59,6 @@ double Histogram::Quantile(double q) const {
   // Everything beyond the last finite bound: the best statement the
   // histogram can make is "at least the largest bound".
   return bounds_.back();
-}
-
-void Histogram::Reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(ex_mu_);
-  ex_ring_.clear();
-  ex_next_ = 0;
-}
-
-void Histogram::EnableExemplars(size_t capacity, double quantile) {
-  std::lock_guard<std::mutex> lock(ex_mu_);
-  ex_capacity_ = std::max<size_t>(1, capacity);
-  ex_quantile_ = std::clamp(quantile, 0.0, 1.0);
-  ex_ring_.clear();
-  ex_ring_.reserve(ex_capacity_);
-  ex_next_ = 0;
-  ex_enabled_.store(true, std::memory_order_release);
-}
-
-void Histogram::ObserveWithExemplar(double value, uint64_t trace_id,
-                                    uint64_t request_id) {
-  Observe(value);
-  if (!ex_enabled_.load(std::memory_order_acquire)) return;
-  // Capture tail samples only: at or above the configured quantile of
-  // the distribution seen so far. The first handful always capture so a
-  // short run still has something to show.
-  if (count() >= 16 && value < Quantile(ex_quantile_)) return;
-  std::lock_guard<std::mutex> lock(ex_mu_);
-  const Exemplar exemplar{value, trace_id, request_id};
-  if (ex_ring_.size() < ex_capacity_) {
-    ex_ring_.push_back(exemplar);
-  } else {
-    ex_ring_[ex_next_] = exemplar;
-  }
-  ex_next_ = (ex_next_ + 1) % ex_capacity_;
-}
-
-std::vector<Histogram::Exemplar> Histogram::Exemplars() const {
-  std::lock_guard<std::mutex> lock(ex_mu_);
-  std::vector<Exemplar> out;
-  out.reserve(ex_ring_.size());
-  if (ex_ring_.size() < ex_capacity_) {
-    out = ex_ring_;
-  } else {
-    out.insert(out.end(), ex_ring_.begin() + static_cast<ptrdiff_t>(ex_next_),
-               ex_ring_.end());
-    out.insert(out.end(), ex_ring_.begin(),
-               ex_ring_.begin() + static_cast<ptrdiff_t>(ex_next_));
-  }
-  return out;
 }
 
 std::vector<double> Histogram::LatencyBucketsMs() {
@@ -258,11 +212,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   return out;
 }
 
-size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
 namespace {
 
 void AppendEscaped(std::string_view raw, std::string* out) {
@@ -402,71 +351,6 @@ std::string MetricsRegistry::PrometheusText() const {
       }
     }
   }
-  return out;
-}
-
-std::string MetricsRegistry::Json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"metrics\":[";
-  bool first_metric = true;
-  for (const auto& entry : entries_) {
-    if (!first_metric) out += ",";
-    first_metric = false;
-    out += "{\"name\":\"";
-    AppendEscaped(entry->name, &out);
-    out += "\",\"labels\":{";
-    bool first_label = true;
-    for (const auto& [key, value] : entry->labels) {
-      if (!first_label) out += ",";
-      first_label = false;
-      out += "\"";
-      AppendEscaped(key, &out);
-      out += "\":\"";
-      AppendEscaped(value, &out);
-      out += "\"";
-    }
-    out += "},";
-    switch (entry->type) {
-      case MetricType::kCounter:
-        out += "\"type\":\"counter\",\"value\":" +
-               FormatU64(entry->counter->value());
-        break;
-      case MetricType::kGauge:
-        out += "\"type\":\"gauge\",\"value\":" +
-               FormatDouble(entry->gauge->value());
-        break;
-      case MetricType::kHistogram: {
-        const Histogram& h = *entry->histogram;
-        out += "\"type\":\"histogram\",\"count\":" + FormatU64(h.count()) +
-               ",\"sum\":" + FormatDouble(h.sum()) +
-               ",\"p50\":" + FormatDouble(h.Quantile(0.50)) +
-               ",\"p95\":" + FormatDouble(h.Quantile(0.95)) +
-               ",\"p99\":" + FormatDouble(h.Quantile(0.99)) + ",\"buckets\":[";
-        for (size_t i = 0; i < h.upper_bounds().size(); ++i) {
-          if (i > 0) out += ",";
-          out += "{\"le\":" + FormatDouble(h.upper_bounds()[i]) +
-                 ",\"count\":" + FormatU64(h.bucket_count(i)) + "}";
-        }
-        out += ",{\"le\":\"+Inf\",\"count\":" +
-               FormatU64(h.bucket_count(h.upper_bounds().size())) + "}]";
-        if (h.exemplars_enabled()) {
-          out += ",\"exemplars\":[";
-          bool first_exemplar = true;
-          for (const auto& exemplar : h.Exemplars()) {
-            if (!first_exemplar) out += ",";
-            first_exemplar = false;
-            out += "{\"value\":" + FormatDouble(exemplar.value) +
-                   ",\"trace_id\":" + FormatU64(exemplar.trace_id) +
-                   ",\"request_id\":" + FormatU64(exemplar.request_id) + "}";
-          }
-          out += "]";
-        }
-        break;
-      }
-    }
-    out += "}";
-  }
-  out += "]}";
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Lock-cheap metrics primitives and a named registry with Prometheus-text
-// and JSON exposition.
+// exposition.
 //
 // Counters and gauges are single atomics; histograms are fixed-bucket
 // arrays of atomic counters. The estimate hot path therefore pays a
@@ -29,10 +29,6 @@ namespace latest::obs {
 /// Label set attached to one metric instance: ordered (key, value) pairs.
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
 
-/// Adds `delta` to an atomic double with a CAS loop (portable across
-/// standard libraries that lack atomic<double>::fetch_add).
-void AtomicAddDouble(std::atomic<double>* target, double delta);
-
 /// Monotonically increasing counter.
 class Counter {
  public:
@@ -57,7 +53,6 @@ class Gauge {
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) { AtomicAddDouble(&value_, delta); }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -68,15 +63,6 @@ class Gauge {
 /// cumulative exposition and interpolated quantile queries.
 class Histogram {
  public:
-  /// One captured tail sample: the observed value plus the request-scoped
-  /// identifiers that let an operator pivot from "the p99 is high" to the
-  /// exact traced request that paid it (/tracez?dump, /requestz).
-  struct Exemplar {
-    double value = 0.0;
-    uint64_t trace_id = 0;
-    uint64_t request_id = 0;
-  };
-
   /// `upper_bounds` must be strictly increasing and non-empty; an implicit
   /// +Inf overflow bucket is appended.
   explicit Histogram(std::vector<double> upper_bounds);
@@ -84,24 +70,6 @@ class Histogram {
   Histogram& operator=(const Histogram&) = delete;
 
   void Observe(double value);
-
-  /// Turns on exemplar capture: a bounded ring of `capacity` exemplars,
-  /// refreshed by ObserveWithExemplar calls whose value lands at or above
-  /// the current `quantile` estimate (the first few samples always
-  /// capture, so short runs still surface a tail). Not thread-safe
-  /// against concurrent observations — call during setup.
-  void EnableExemplars(size_t capacity, double quantile = 0.95);
-  bool exemplars_enabled() const {
-    return ex_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Observe() plus tail-exemplar capture. When exemplars are disabled
-  /// this is exactly Observe(value).
-  void ObserveWithExemplar(double value, uint64_t trace_id,
-                           uint64_t request_id);
-
-  /// Retained exemplars, oldest first. Empty when disabled.
-  std::vector<Exemplar> Exemplars() const;
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
@@ -123,8 +91,6 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
-  void Reset();
-
   /// Default latency bucket ladder in milliseconds: a 1-2-5 series from
   /// 1us to 1s, wide enough for estimator probes and exact evaluation.
   static std::vector<double> LatencyBucketsMs();
@@ -137,15 +103,6 @@ class Histogram {
   std::vector<std::atomic<uint64_t>> buckets_;  // bounds_.size() + 1.
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-
-  // Exemplar ring; only touched by ObserveWithExemplar/Exemplars and only
-  // when enabled, so plain Observe stays mutex-free.
-  std::atomic<bool> ex_enabled_{false};
-  double ex_quantile_ = 0.95;
-  size_t ex_capacity_ = 0;
-  mutable std::mutex ex_mu_;
-  std::vector<Exemplar> ex_ring_;
-  size_t ex_next_ = 0;
 };
 
 /// Named metrics registry. Get-or-create semantics: the same
@@ -188,18 +145,12 @@ class MetricsRegistry {
   };
   std::vector<Sample> Samples(std::string_view name_prefix = "") const;
 
-  /// Number of registered metric instances.
-  size_t size() const;
-
   /// Prometheus text exposition format (version 0.0.4): families sorted
   /// by name with exactly one # HELP / # TYPE header each, label sets
   /// stable-sorted within a family, label values and help text escaped
   /// per the format spec, histograms as cumulative `_bucket` series plus
   /// `_sum` / `_count`.
   std::string PrometheusText() const;
-
-  /// JSON exposition: {"metrics": [...]} with per-histogram p50/p95/p99.
-  std::string Json() const;
 
  private:
   enum class MetricType { kCounter, kGauge, kHistogram };

@@ -122,11 +122,6 @@ std::vector<SloRuleState> SloMonitor::States() const {
   return out;
 }
 
-size_t SloMonitor::num_rules() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rules_.size();
-}
-
 std::vector<SloRule> DefaultLatestSloRules(double tau, double p99_latency_ms,
                                            double max_wal_lag_records,
                                            double max_resident_slices,

@@ -100,7 +100,6 @@ class SloMonitor {
 
   std::vector<SloRuleState> States() const;
 
-  size_t num_rules() const;
   uint64_t evaluations() const {
     return evaluations_.load(std::memory_order_relaxed);
   }

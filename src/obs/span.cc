@@ -80,12 +80,6 @@ std::vector<SpanRecord> SpanCollector::Snapshot() const {
   return out;
 }
 
-void SpanCollector::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  next_ = 0;
-}
-
 void SetSpanCollector(SpanCollector* collector) {
   g_collector.store(collector, std::memory_order_release);
 }

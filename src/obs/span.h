@@ -126,8 +126,6 @@ class SpanCollector {
   /// Retained spans, oldest first.
   std::vector<SpanRecord> Snapshot() const;
 
-  void Clear();
-
  private:
   const size_t capacity_;
   const uint32_t sample_every_;
@@ -180,9 +178,6 @@ class Span {
   ~Span() {
     if (depth_tracked_) Finish();
   }
-
-  /// Whether this span was selected for recording.
-  bool sampled() const { return collector_ != nullptr; }
 
   /// Handle for continuing this tree on another thread. For an
   /// unsampled span the context is unsampled too (ids zero), which a

@@ -73,28 +73,6 @@ void AppendF(std::string* out, const char* format, ...) {
   *out += buffer;
 }
 
-void AppendJsonEscaped(std::string* out, std::string_view value) {
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendF(out, "\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendHtmlEscaped(std::string* out, std::string_view value) {
   for (char c : value) {
     switch (c) {
@@ -123,9 +101,6 @@ IntrospectionServer::IntrospectionServer(IntrospectionSources sources,
   });
   server_.Handle("/metrics", [this](const HttpRequest& request) {
     return HandleMetrics(request);
-  });
-  server_.Handle("/vars", [this](const HttpRequest& request) {
-    return HandleVars(request);
   });
   server_.Handle("/healthz", [this](const HttpRequest& request) {
     return HandleHealthz(request);
@@ -198,13 +173,6 @@ HttpResponse IntrospectionServer::HandleMetrics(const HttpRequest&) const {
   return response;
 }
 
-HttpResponse IntrospectionServer::HandleVars(const HttpRequest&) const {
-  HttpResponse response;
-  response.content_type = "application/json";
-  response.body = sources_.registry->Json();
-  return response;
-}
-
 HttpResponse IntrospectionServer::HandleHealthz(const HttpRequest&) const {
   const MetricsRegistry* registry = sources_.registry;
   const bool is_degraded = degraded();
@@ -227,7 +195,7 @@ HttpResponse IntrospectionServer::HandleHealthz(const HttpRequest&) const {
       if (!first) body += ",";
       first = false;
       body += "\"";
-      AppendJsonEscaped(&body, rule);
+      AppendJsonEscaped(rule, &body);
       body += "\"";
     }
   }
@@ -530,7 +498,7 @@ HttpResponse IntrospectionServer::HandleSwitchz(
               "{\"id\":%" PRIu64 ",\"t\":%" PRId64 ",\"q\":%" PRIu64
               ",\"trigger\":\"",
               entry.id, entry.timestamp, entry.query_count);
-      AppendJsonEscaped(&body, entry.trigger);
+      AppendJsonEscaped(entry.trigger, &body);
       AppendF(&body,
               "\",\"from\":\"%s\",\"chosen\":\"%s\",\"recommended\":\"%s\""
               ",\"monitor_accuracy\":%.6f,\"resolved\":%s",

@@ -4,7 +4,6 @@
 // Endpoints:
 //   /          index of registered endpoints
 //   /metrics   Prometheus text exposition (version 0.0.4)
-//   /vars      JSON exposition of the same registry
 //   /healthz   JSON health verdict; 200 while healthy, 503 once any SLO
 //              rule is breached or the checkpoint freshness bound is blown
 //   /statusz   human-readable lifecycle page: phase, active/candidate
@@ -106,7 +105,6 @@ class IntrospectionServer {
 
   // Handlers, exposed for tests (each renders one endpoint's body).
   HttpResponse HandleMetrics(const HttpRequest& request) const;
-  HttpResponse HandleVars(const HttpRequest& request) const;
   HttpResponse HandleHealthz(const HttpRequest& request) const;
   HttpResponse HandleStatusz(const HttpRequest& request) const;
   HttpResponse HandleTracez(const HttpRequest& request) const;

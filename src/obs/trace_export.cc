@@ -8,6 +8,16 @@ namespace latest::obs {
 
 namespace {
 
+/// Microseconds with sub-µs precision — the unit of trace-event "ts".
+void AppendMicros(int64_t nanos, std::string* out) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.3f",
+                static_cast<double>(nanos) / 1000.0);
+  *out += buf;
+}
+
+}  // namespace
+
 void AppendJsonEscaped(std::string_view raw, std::string* out) {
   for (const char c : raw) {
     switch (c) {
@@ -31,16 +41,6 @@ void AppendJsonEscaped(std::string_view raw, std::string* out) {
     }
   }
 }
-
-/// Microseconds with sub-µs precision — the unit of trace-event "ts".
-void AppendMicros(int64_t nanos, std::string* out) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(nanos) / 1000.0);
-  *out += buf;
-}
-
-}  // namespace
 
 std::string TraceEventJson(const SpanCollector& collector,
                            const std::string& process_name) {

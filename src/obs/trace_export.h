@@ -10,11 +10,18 @@
 #define LATEST_OBS_TRACE_EXPORT_H_
 
 #include <string>
+#include <string_view>
 
 #include "obs/span.h"
 #include "util/status.h"
 
 namespace latest::obs {
+
+/// Appends `raw` to `out` escaped for the inside of a JSON string: quote,
+/// backslash and line feed get their short escapes, every other control
+/// character its \u00XX form. The one JSON string escaper of the
+/// observability pages and the trace export.
+void AppendJsonEscaped(std::string_view raw, std::string* out);
 
 /// Renders the collector's retained spans as a Chrome trace-event JSON
 /// document: {"displayTimeUnit":"ms","traceEvents":[...]}.

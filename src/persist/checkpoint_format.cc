@@ -66,11 +66,6 @@ std::string CheckpointWriter::Finish(uint64_t sequence) const {
   return out.TakeBuffer();
 }
 
-util::Status CheckpointWriter::CommitToFile(const std::string& path,
-                                            uint64_t sequence) const {
-  return AtomicWriteFile(path, Finish(sequence));
-}
-
 util::Status CheckpointReader::Open(const std::string& path) {
   std::string image;
   LATEST_RETURN_IF_ERROR(ReadFile(path, &image));

@@ -48,10 +48,6 @@ class CheckpointWriter {
   /// Serializes header + table + payloads into one image.
   std::string Finish(uint64_t sequence) const;
 
-  /// Finish + atomic write to `path`.
-  util::Status CommitToFile(const std::string& path,
-                            uint64_t sequence) const;
-
  private:
   struct Section {
     std::string name;

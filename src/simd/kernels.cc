@@ -23,11 +23,6 @@ namespace latest::simd {
 
 namespace {
 
-// Probing a sorted span with vector compare-equal only pays off once the
-// span is a couple of cache lines long; below this both SIMD tiers defer
-// to the galloping/merge scalar test.
-constexpr size_t kSimdProbeMinLen = 16;
-
 // --- Scalar reference implementations --------------------------------------
 
 uint64_t RectContainCountScalar(const geo::Point* locs, size_t n,
@@ -85,36 +80,6 @@ uint64_t RectContainCountSSE2(const geo::Point* locs, size_t n,
     count += (m == 3) ? 1 : 0;
   }
   return count;
-}
-
-// `a` must be the shorter sorted set, `b` the longer; b_len >=
-// kSimdProbeMinLen. Probes each id of `a` through `b` 4 lanes at a time,
-// resuming from the previous probe position (both sets ascend) and
-// stopping a probe as soon as the block maximum passes the id.
-bool AnyKeywordIntersectSSE2(const stream::KeywordId* a, size_t a_len,
-                             const stream::KeywordId* b, size_t b_len) {
-  size_t pos = 0;
-  for (size_t j = 0; j < a_len; ++j) {
-    const stream::KeywordId id = a[j];
-    const __m128i needle = _mm_set1_epi32(static_cast<int>(id));
-    bool decided = false;
-    while (pos + 4 <= b_len) {
-      const __m128i blk =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + pos));
-      if (_mm_movemask_epi8(_mm_cmpeq_epi32(blk, needle)) != 0) return true;
-      if (b[pos + 3] > id) {
-        decided = true;  // id < block max and not in it: absent from b.
-        break;
-      }
-      pos += 4;
-    }
-    if (decided) continue;
-    for (size_t k = pos; k < b_len; ++k) {
-      if (b[k] == id) return true;
-      if (b[k] > id) break;
-    }
-  }
-  return false;
 }
 
 // --- AVX2 tier --------------------------------------------------------------
@@ -204,37 +169,6 @@ LATEST_TARGET_AVX2 void HistogramCellIdsStridedAVX2(
     const auto& p = *reinterpret_cast<const geo::Point*>(base + i * stride);
     cells[i] = CellIdScalar(p, bounds, cell_w, cell_h, cols, rows);
   }
-}
-
-// 8-lane variant of AnyKeywordIntersectSSE2; same contract.
-LATEST_TARGET_AVX2 bool AnyKeywordIntersectAVX2(const stream::KeywordId* a,
-                                                size_t a_len,
-                                                const stream::KeywordId* b,
-                                                size_t b_len) {
-  size_t pos = 0;
-  for (size_t j = 0; j < a_len; ++j) {
-    const stream::KeywordId id = a[j];
-    const __m256i needle = _mm256_set1_epi32(static_cast<int>(id));
-    bool decided = false;
-    while (pos + 8 <= b_len) {
-      const __m256i blk =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + pos));
-      if (_mm256_movemask_epi8(_mm256_cmpeq_epi32(blk, needle)) != 0) {
-        return true;
-      }
-      if (b[pos + 7] > id) {
-        decided = true;
-        break;
-      }
-      pos += 8;
-    }
-    if (decided) continue;
-    for (size_t k = pos; k < b_len; ++k) {
-      if (b[k] == id) return true;
-      if (b[k] > id) break;
-    }
-  }
-  return false;
 }
 
 #endif  // LATEST_SIMD_X86
@@ -351,33 +285,6 @@ size_t LowerBoundTimestamp(const stream::Timestamp* ts, size_t n,
     }
   }
   return lo;
-}
-
-bool AnyKeywordIntersect(const stream::KeywordId* span, size_t span_len,
-                         const stream::KeywordId* q, size_t q_len) {
-#if LATEST_SIMD_X86
-  const stream::KeywordId* small = span;
-  size_t small_len = span_len;
-  const stream::KeywordId* big = q;
-  size_t big_len = q_len;
-  if (small_len > big_len) {
-    small = q;
-    small_len = q_len;
-    big = span;
-    big_len = span_len;
-  }
-  if (small_len > 0 && big_len >= kSimdProbeMinLen) {
-    switch (ActiveTier()) {
-      case KernelTier::kAVX2:
-        return AnyKeywordIntersectAVX2(small, small_len, big, big_len);
-      case KernelTier::kSSE2:
-        return AnyKeywordIntersectSSE2(small, small_len, big, big_len);
-      case KernelTier::kScalar:
-        break;
-    }
-  }
-#endif
-  return stream::KeywordSetsIntersect(span, span_len, q, q_len);
 }
 
 }  // namespace latest::simd

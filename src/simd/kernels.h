@@ -2,10 +2,10 @@
 // arrays.
 //
 // The window store lays the window out as slice-partitioned SoA columns
-// so hot loops can be vectorized; this layer supplies the four loops that
-// have a production caller: rect counting for the grid batch scan, the
-// sorted-column cutoff resolve, sorted keyword-set intersection for the
-// scan paths, and histogram cell ids for batched ingest. Each kernel has
+// so hot loops can be vectorized; this layer supplies the three loops
+// that have a production caller: rect counting for the grid batch scan,
+// the sorted-column cutoff resolve, and histogram cell ids for batched
+// ingest. Each kernel has
 // a scalar implementation and, where it pays, SSE2 and AVX2 ones selected
 // at runtime from one process-global tier. Every implementation is
 // bit-identical: kernels either produce integers (counts, cell ids,
@@ -80,15 +80,6 @@ void HistogramCellIdsStrided(const geo::Point* first, size_t stride, size_t n,
 /// order, so this resolves a window cutoff to a live-range start.
 size_t LowerBoundTimestamp(const stream::Timestamp* ts, size_t n,
                            stream::Timestamp cutoff);
-
-// --- Keyword kernels -------------------------------------------------------
-
-/// True iff the sorted keyword sets share an id. Tier-dispatched: long
-/// spans are probed with vector compares (8 ids per step on AVX2), short
-/// ones fall back to the galloping/merge test of
-/// stream::KeywordSetsIntersect. Results are identical at every tier.
-bool AnyKeywordIntersect(const stream::KeywordId* span, size_t span_len,
-                         const stream::KeywordId* q, size_t q_len);
 
 }  // namespace latest::simd
 

@@ -11,7 +11,6 @@ KeywordId KeywordDictionary::Intern(std::string_view keyword) {
   if (it != ids_.end()) return it->second;
   const KeywordId id = static_cast<KeywordId>(spellings_.size());
   spellings_.emplace_back(keyword);
-  counts_.push_back(0);
   ids_.emplace(spellings_.back(), id);
   return id;
 }
@@ -26,65 +25,6 @@ bool KeywordDictionary::Lookup(std::string_view keyword, KeywordId* id) const {
 const std::string& KeywordDictionary::Spelling(KeywordId id) const {
   assert(id < spellings_.size());
   return spellings_[id];
-}
-
-void KeywordDictionary::CountOccurrences(
-    const std::vector<KeywordId>& keywords) {
-  for (const KeywordId id : keywords) {
-    if (id >= counts_.size()) counts_.resize(id + 1, 0);
-    ++counts_[id];
-    ++total_occurrences_;
-  }
-}
-
-uint64_t KeywordDictionary::OccurrenceCount(KeywordId id) const {
-  if (id >= counts_.size()) return 0;
-  return counts_[id];
-}
-
-double KeywordDictionary::Frequency(KeywordId id) const {
-  if (total_occurrences_ == 0) return 0.0;
-  return static_cast<double>(OccurrenceCount(id)) /
-         static_cast<double>(total_occurrences_);
-}
-
-void KeywordDictionary::Save(util::BinaryWriter* writer) const {
-  writer->WriteU64(spellings_.size());
-  for (const std::string& spelling : spellings_) writer->WriteString(spelling);
-  // counts_ can lag spellings_ when recent keywords were interned but
-  // never counted; persist its true length.
-  writer->WriteU64(counts_.size());
-  for (uint64_t count : counts_) writer->WriteU64(count);
-  writer->WriteU64(total_occurrences_);
-}
-
-bool KeywordDictionary::Load(util::BinaryReader* reader) {
-  ids_.clear();
-  spellings_.clear();
-  counts_.clear();
-  total_occurrences_ = 0;
-  uint64_t num_spellings;
-  if (!reader->ReadU64(&num_spellings)) return false;
-  spellings_.reserve(num_spellings);
-  for (uint64_t i = 0; i < num_spellings; ++i) {
-    std::string spelling;
-    if (!reader->ReadString(&spelling)) return false;
-    spellings_.push_back(std::move(spelling));
-  }
-  uint64_t num_counts;
-  if (!reader->ReadU64(&num_counts) || num_counts > num_spellings) return false;
-  counts_.resize(num_counts);
-  for (auto& count : counts_) {
-    if (!reader->ReadU64(&count)) return false;
-  }
-  if (!reader->ReadU64(&total_occurrences_)) return false;
-  // Ids are dense positions in spellings_, so re-interning in order
-  // reproduces the exact id assignment.
-  ids_.reserve(spellings_.size());
-  for (size_t i = 0; i < spellings_.size(); ++i) {
-    ids_.emplace(spellings_[i], static_cast<KeywordId>(i));
-  }
-  return true;
 }
 
 }  // namespace latest::stream

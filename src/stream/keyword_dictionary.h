@@ -1,10 +1,7 @@
-// Keyword string interning and global frequency statistics.
+// Keyword string interning.
 //
 // The dictionary maps keyword strings (hashtags, species codes, tags) to
-// dense KeywordIds and tracks how often each keyword has been observed on
-// the stream. Frequencies feed (a) the workload-driven FFN estimator's
-// keyword-popularity feature and (b) the learning model's
-// keyword-selectivity feature.
+// dense KeywordIds.
 
 #ifndef LATEST_STREAM_KEYWORD_DICTIONARY_H_
 #define LATEST_STREAM_KEYWORD_DICTIONARY_H_
@@ -16,11 +13,10 @@
 #include <vector>
 
 #include "stream/object.h"
-#include "util/serialization.h"
 
 namespace latest::stream {
 
-/// Interns keyword strings to dense ids and counts stream occurrences.
+/// Interns keyword strings to dense ids.
 class KeywordDictionary {
  public:
   KeywordDictionary() = default;
@@ -37,26 +33,6 @@ class KeywordDictionary {
   /// Number of distinct interned keywords.
   size_t size() const { return spellings_.size(); }
 
-  /// Records one stream occurrence of each keyword of an object.
-  void CountOccurrences(const std::vector<KeywordId>& keywords);
-
-  /// Total occurrences recorded for one keyword (0 for ids never counted).
-  uint64_t OccurrenceCount(KeywordId id) const;
-
-  /// Total keyword occurrences recorded across the stream lifetime.
-  uint64_t total_occurrences() const { return total_occurrences_; }
-
-  /// Fraction of all occurrences carried by `id` (0 when nothing counted).
-  double Frequency(KeywordId id) const;
-
-  /// Persists spellings and counts in id order (ids are dense, so the
-  /// string-to-id map is rebuilt by re-interning on load).
-  void Save(util::BinaryWriter* writer) const;
-
-  /// Restores a dictionary persisted by Save, replacing the current
-  /// contents; false on truncation (the dictionary is left empty).
-  bool Load(util::BinaryReader* reader);
-
  private:
   /// Transparent hash so the map probes directly with string_view keys:
   /// Intern/Lookup never materialize a temporary std::string.
@@ -70,8 +46,6 @@ class KeywordDictionary {
   std::unordered_map<std::string, KeywordId, StringHash, std::equal_to<>>
       ids_;
   std::vector<std::string> spellings_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_occurrences_ = 0;
 };
 
 }  // namespace latest::stream

@@ -4,44 +4,10 @@
 
 namespace latest::stream {
 
-namespace {
-
-/// Size ratio above which per-element galloping beats the linear merge.
-constexpr size_t kGallopRatio = 8;
-
-/// Intersection test with `a` the (much) smaller sorted set: for each id
-/// of `a`, gallop through the tail of `b` — double the probe stride until
-/// overshoot, then binary-search the bracketed range.
-bool GallopIntersect(const KeywordId* a, size_t a_len, const KeywordId* b,
-                     size_t b_len) {
-  size_t lo = 0;
-  for (size_t i = 0; i < a_len; ++i) {
-    const KeywordId target = a[i];
-    size_t step = 1;
-    size_t probe = lo;
-    while (probe < b_len && b[probe] < target) {
-      lo = probe + 1;
-      probe += step;
-      step *= 2;
-    }
-    const KeywordId* end = b + std::min(probe, b_len);
-    const KeywordId* it = std::lower_bound(b + lo, end, target);
-    if (it != b + b_len && *it == target) return true;
-    lo = static_cast<size_t>(it - b);
-    if (lo >= b_len) return false;  // All remaining a ids are larger too.
-  }
-  return false;
-}
-
-}  // namespace
-
 bool KeywordSetsIntersect(const KeywordId* a, size_t a_len, const KeywordId* b,
                           size_t b_len) {
-  if (a_len == 0 || b_len == 0) return false;
-  if (a_len * kGallopRatio <= b_len) return GallopIntersect(a, a_len, b, b_len);
-  if (b_len * kGallopRatio <= a_len) return GallopIntersect(b, b_len, a, a_len);
-  // Merge-style intersection test over two sorted sets of similar size
-  // (objects carry a handful of keywords, queries up to ~5).
+  // Merge-style intersection test: objects carry a handful of keywords
+  // and queries up to ~5, so a linear merge is the whole cost.
   const KeywordId* a_end = a + a_len;
   const KeywordId* b_end = b + b_len;
   while (a != a_end && b != b_end) {

@@ -39,11 +39,4 @@ int64_t SliceClock::SliceIndexOf(Timestamp t) const {
   return t / config_.SliceDuration();
 }
 
-uint64_t WindowPopulation::TotalOfNewest(uint32_t k) const {
-  assert(k <= counts_.num_slices());
-  uint64_t sum = 0;
-  for (uint32_t i = 0; i < k; ++i) sum += counts_.FromNewest(i);
-  return sum;
-}
-
 }  // namespace latest::stream

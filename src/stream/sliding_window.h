@@ -119,12 +119,6 @@ class SliceRing {
 
   uint32_t num_slices() const { return static_cast<uint32_t>(slices_.size()); }
 
-  /// Value-initializes every slice.
-  void Clear() {
-    for (auto& s : slices_) s = T{};
-    head_ = 0;
-  }
-
   /// Persists the ring: head cursor plus every slot in raw index order
   /// (the same order ForEach visits), each slot written by `save_slice`.
   template <typename SaveFn>
@@ -176,15 +170,7 @@ class WindowPopulation {
   /// Objects currently inside the window.
   uint64_t total() const { return total_; }
 
-  /// Objects in the newest `k` slices (k <= num_slices).
-  uint64_t TotalOfNewest(uint32_t k) const;
-
   uint32_t num_slices() const { return counts_.num_slices(); }
-
-  void Clear() {
-    counts_.Clear();
-    total_ = 0;
-  }
 
   /// Persists the per-slice counts and running total.
   void Save(util::BinaryWriter* writer) const {

@@ -4,7 +4,6 @@
 #define LATEST_UTIL_HASHING_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace latest::util {
 
@@ -32,16 +31,6 @@ inline uint64_t SeededHash(uint64_t value, uint64_t seed) {
 /// Maps a 64-bit hash to the unit interval [0, 1).
 inline double HashToUnit(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-/// FNV-1a over bytes, for interning keyword strings.
-inline uint64_t HashBytes(std::string_view bytes) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return Mix64(h);
 }
 
 }  // namespace latest::util

@@ -20,14 +20,4 @@ double MinMaxScaler::Scale(double v) const {
   return std::clamp(t, 0.0, 1.0);
 }
 
-double MinMaxScaler::ObserveAndScale(double v) {
-  Observe(v);
-  return Scale(v);
-}
-
-void MinMaxScaler::Reset() {
-  min_ = max_ = 0.0;
-  count_ = 0;
-}
-
 }  // namespace latest::util

@@ -24,16 +24,9 @@ class MinMaxScaler {
   /// Before any observation (or with a degenerate range) returns 0.5.
   double Scale(double v) const;
 
-  /// Observe(v) followed by Scale(v).
-  double ObserveAndScale(double v);
-
-  bool empty() const { return count_ == 0; }
   uint64_t count() const { return count_; }
   double min() const { return min_; }
   double max() const { return max_; }
-
-  /// Forgets the observed range.
-  void Reset();
 
   /// Restores a persisted state.
   void Restore(double min, double max, uint64_t count) {

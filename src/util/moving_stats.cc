@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace latest::util {
 
@@ -47,38 +46,5 @@ void Ewma::Add(double v) {
 }
 
 double Ewma::Value(double fallback) const { return seeded_ ? value_ : fallback; }
-
-void Ewma::Reset() {
-  value_ = 0.0;
-  seeded_ = false;
-}
-
-void RunningMoments::Add(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  ++count_;
-  const double delta = v - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (v - mean_);
-}
-
-double RunningMoments::Variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double RunningMoments::StdDev() const { return std::sqrt(Variance()); }
-
-void RunningMoments::Reset() {
-  count_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
 
 }  // namespace latest::util

@@ -90,33 +90,11 @@ class Ewma {
   }
 
   bool empty() const { return !seeded_; }
-  void Reset();
 
  private:
   double alpha_;
   double value_ = 0.0;
   bool seeded_ = false;
-};
-
-/// Streaming mean/variance (Welford).
-class RunningMoments {
- public:
-  void Add(double v);
-  size_t count() const { return count_; }
-  double Mean() const { return count_ ? mean_ : 0.0; }
-  /// Population variance; 0 with fewer than two samples.
-  double Variance() const;
-  double StdDev() const;
-  double Min() const { return count_ ? min_ : 0.0; }
-  double Max() const { return count_ ? max_ : 0.0; }
-  void Reset();
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace latest::util

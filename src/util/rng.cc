@@ -77,8 +77,6 @@ double Rng::NextGaussian(double mean, double stddev) {
 
 bool Rng::NextBool(double p) { return NextDouble() < p; }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 void Rng::Save(BinaryWriter* writer) const {
   for (uint64_t s : s_) writer->WriteU64(s);
   writer->WriteBool(has_cached_gaussian_);

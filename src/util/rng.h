@@ -47,9 +47,6 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool NextBool(double p);
 
-  /// Derives an independent child generator (for per-component streams).
-  Rng Fork();
-
   /// Persists the generator state so a restored process continues the
   /// exact same sequence.
   void Save(BinaryWriter* writer) const;

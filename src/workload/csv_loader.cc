@@ -87,7 +87,6 @@ util::Status ParseCsvLine(std::string_view line,
     out->keywords.push_back(dictionary->Intern(keyword));
   }
   stream::CanonicalizeKeywords(&out->keywords);
-  dictionary->CountOccurrences(out->keywords);
   return util::Status::Ok();
 }
 

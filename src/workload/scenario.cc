@@ -289,7 +289,6 @@ ScenarioEvent ScenarioStream::Next() {
     query_pending_ = false;
     event.is_query = true;
     event.query = MakeQuery(pending_fraction_, pending_timestamp_);
-    ++queries_produced_;
     return event;
   }
   const uint64_t index = objects_produced_;

@@ -201,7 +201,6 @@ class ScenarioStream {
   ScenarioEvent Next();
 
   uint64_t objects_produced() const { return objects_produced_; }
-  uint64_t queries_produced() const { return queries_produced_; }
 
   /// Timestamp the stream will assign to object `index` (the composed
   /// monotone time warp; independent of consumption state).
@@ -222,7 +221,6 @@ class ScenarioStream {
   util::Rng object_rng_;
   util::Rng query_rng_;
   uint64_t objects_produced_ = 0;
-  uint64_t queries_produced_ = 0;
   bool query_pending_ = false;
   double pending_fraction_ = 0.0;
   int64_t pending_timestamp_ = 0;

@@ -154,17 +154,6 @@ TEST(AaspEstimatorTest, SplitThresholdScalesWithPopulation) {
   EXPECT_GE(est.SplitThreshold(), initial);
 }
 
-TEST(AaspEstimatorTest, ResetWipes) {
-  auto config = TestEstimatorConfig();
-  AaspEstimator est(config);
-  const auto objects = MakeClusteredObjects(20000, 11);
-  FeedObjects(&est, config.window, objects);
-  est.Reset();
-  EXPECT_EQ(est.seen_population(), 0u);
-  EXPECT_EQ(est.num_nodes(), est.num_partitions());
-  EXPECT_DOUBLE_EQ(est.Estimate(MakeKeywordQuery({0})), 0.0);
-}
-
 TEST(AaspEstimatorTest, MemoryGrowsWithNodeBudget) {
   auto small_cfg = TestEstimatorConfig();
   small_cfg.aasp_max_nodes = 64;

@@ -72,13 +72,6 @@ TEST(CountMinSketchTest, DecayScalesEverything) {
   EXPECT_DOUBLE_EQ(sketch.Estimate(1), 2.0);
 }
 
-TEST(CountMinSketchTest, ClearEmpties) {
-  CountMinSketch sketch(2, 64, 7);
-  sketch.Add(1);
-  sketch.Clear();
-  EXPECT_DOUBLE_EQ(sketch.Estimate(1), 0.0);
-}
-
 // --------------------------------------------------------------------
 // CmSketchEstimator
 

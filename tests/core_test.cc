@@ -148,17 +148,6 @@ TEST(ScoreboardTest, FallbackWhenEmpty) {
             estimators::EstimatorKind::kRsh);
 }
 
-TEST(ScoreboardTest, ResetClears) {
-  Scoreboard board;
-  board.Record(stream::QueryType::kSpatial,
-               Meas(estimators::EstimatorKind::kRsl, 0.9, 1.0));
-  board.Reset();
-  EXPECT_FALSE(board
-                   .Score(stream::QueryType::kSpatial,
-                          estimators::EstimatorKind::kRsl, 0.5)
-                   .has_value());
-}
-
 TEST(ScoreboardTest, NormalizeLatencyUsesObservedRange) {
   Scoreboard board;
   board.Record(stream::QueryType::kSpatial,

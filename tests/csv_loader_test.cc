@@ -96,18 +96,6 @@ TEST(CsvStreamTest, EmptyContentYieldsEmptyStream) {
   EXPECT_TRUE(result->objects.empty());
 }
 
-TEST(CsvStreamTest, DictionaryCountsOccurrences) {
-  stream::KeywordDictionary dictionary;
-  const auto result = ParseCsvStream(
-      "1,0,0,fire\n"
-      "2,0,0,fire;help\n",
-      &dictionary);
-  ASSERT_TRUE(result.ok());
-  stream::KeywordId fire;
-  ASSERT_TRUE(dictionary.Lookup("fire", &fire));
-  EXPECT_EQ(dictionary.OccurrenceCount(fire), 2u);
-}
-
 TEST(CsvFileTest, LoadsFromDisk) {
   const std::string path = ::testing::TempDir() + "/latest_csv_test.csv";
   {

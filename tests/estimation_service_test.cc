@@ -19,22 +19,18 @@ LatestConfig ServiceConfig() {
   return config;
 }
 
+uint64_t Retrains(LatestModule& module) {
+  return module.telemetry()
+      .registry()
+      .FindCounter("latest_model_retrains_total")
+      ->value();
+}
+
 TEST(EstimationServiceTest, CreateValidatesConfig) {
   auto config = ServiceConfig();
   config.alpha = 2.0;
   EXPECT_FALSE(EstimationService::Create(config).ok());
   EXPECT_TRUE(EstimationService::Create(ServiceConfig()).ok());
-}
-
-TEST(EstimationServiceTest, IngestTokenizesAndInterns) {
-  auto service = std::move(EstimationService::Create(ServiceConfig())).value();
-  service->IngestPost(1, {10, 10}, "House FIRE near #downtown, send help!",
-                      0);
-  EXPECT_EQ(service->KeywordOccurrences("fire"), 1u);
-  EXPECT_EQ(service->KeywordOccurrences("#downtown"), 1u);
-  EXPECT_EQ(service->KeywordOccurrences("help"), 1u);
-  EXPECT_EQ(service->KeywordOccurrences("the"), 0u);  // Stopword dropped.
-  EXPECT_GT(service->vocabulary_size(), 3u);
 }
 
 TEST(EstimationServiceTest, EstimateByStringKeywords) {
@@ -166,7 +162,7 @@ TEST(EstimatorSubsetTest, SwitchesStayWithinTheSubset) {
 
 TEST(AutoRetrainTest, DisabledByDefault) {
   auto module = std::move(LatestModule::Create(ServiceConfig())).value();
-  EXPECT_EQ(module->model_retrains(), 0u);
+  EXPECT_EQ(Retrains(*module), 0u);
 }
 
 TEST(AutoRetrainTest, FiresOnSustainedHighError) {
@@ -193,7 +189,7 @@ TEST(AutoRetrainTest, FiresOnSustainedHighError) {
       module->OnQuery(q);
     }
   }
-  EXPECT_GT(module->model_retrains(), 0u);
+  EXPECT_GT(Retrains(*module), 0u);
 }
 
 TEST(AutoRetrainTest, QuietWhenAccurate) {
@@ -213,24 +209,7 @@ TEST(AutoRetrainTest, QuietWhenAccurate) {
       module->OnQuery(q);
     }
   }
-  EXPECT_EQ(module->model_retrains(), 0u);
-}
-
-TEST(AutoRetrainTest, ManualResetClearsModel) {
-  auto module = std::move(LatestModule::Create(ServiceConfig())).value();
-  const auto objects = testing_support::MakeClusteredObjects(3000, 7, 3000);
-  util::Rng rng(8);
-  for (const auto& obj : objects) {
-    module->OnObject(obj);
-    if (obj.timestamp >= 1000 && obj.oid % 20 == 0) {
-      stream::Query q = testing_support::MakeSpatialQuery({10, 10, 60, 60});
-      q.timestamp = obj.timestamp;
-      module->OnQuery(q);
-    }
-  }
-  ASSERT_GT(module->model().num_trained(), 0u);
-  module->ResetModel();
-  EXPECT_EQ(module->model().num_trained(), 0u);
+  EXPECT_EQ(Retrains(*module), 0u);
 }
 
 }  // namespace

@@ -133,14 +133,6 @@ TEST_P(EstimatorContractTest, PopulationTracksWindow) {
   EXPECT_LT(est->seen_population(), 1200u);
 }
 
-TEST_P(EstimatorContractTest, ResetRestoresFreshState) {
-  auto est = Make();
-  const auto objects = MakeClusteredObjects(5000, 23);
-  FeedObjects(est.get(), TestEstimatorConfig().window, objects);
-  est->Reset();
-  EXPECT_EQ(est->seen_population(), 0u);
-}
-
 TEST_P(EstimatorContractTest, FullExpiryDrainsPopulation) {
   auto est = Make();
   const auto config = TestEstimatorConfig();

@@ -141,16 +141,6 @@ TEST(HistogramEstimatorTest, DisjointQueryEstimatesZero) {
   EXPECT_DOUBLE_EQ(est.Estimate(MakeSpatialQuery({200, 200, 300, 300})), 0.0);
 }
 
-TEST(HistogramEstimatorTest, ResetWipesEverything) {
-  auto config = TestEstimatorConfig();
-  Histogram2dEstimator est(config);
-  const auto objects = MakeClusteredObjects(1000, 10);
-  FeedObjects(&est, config.window, objects);
-  est.Reset();
-  EXPECT_EQ(est.seen_population(), 0u);
-  EXPECT_DOUBLE_EQ(est.Estimate(MakeSpatialQuery({0, 0, 100, 100})), 0.0);
-}
-
 TEST(HistogramEstimatorTest, MemoryScalesWithCells) {
   auto small_cfg = TestEstimatorConfig();
   small_cfg.histogram_cells = 256;

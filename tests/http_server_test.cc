@@ -152,7 +152,7 @@ TEST(HttpServerTest, ConcurrentScrapesDuringLiveIngest) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> scrape_failures{0};
-  const std::vector<std::string> paths = {"/metrics", "/vars", "/statusz",
+  const std::vector<std::string> paths = {"/metrics", "/statusz",
                                           "/healthz", "/tracez", "/"};
   std::vector<std::thread> scrapers;
   for (int t = 0; t < 3; ++t) {
@@ -209,7 +209,7 @@ TEST(HttpServerTest, IntrospectionIndexListsEndpoints) {
   const HttpGetResult index = HttpGet(server.port(), "/");
   EXPECT_EQ(index.status, 200);
   for (const char* endpoint :
-       {"/metrics", "/vars", "/healthz", "/statusz", "/tracez"}) {
+       {"/metrics", "/healthz", "/statusz", "/tracez"}) {
     EXPECT_NE(index.body.find(endpoint), std::string::npos) << endpoint;
   }
   // /tracez without a collector reports that tracing is dark.
@@ -221,7 +221,7 @@ TEST(HttpServerTest, IntrospectionIndexListsEndpoints) {
   server.Stop();
 }
 
-TEST(HttpServerTest, IntrospectionVarsAndMetricsAgree) {
+TEST(HttpServerTest, IntrospectionMetricsServesTheRegistry) {
   MetricsRegistry registry;
   registry.GetCounter("agree_total", "test")->Increment(7);
   IntrospectionSources sources;
@@ -229,11 +229,10 @@ TEST(HttpServerTest, IntrospectionVarsAndMetricsAgree) {
   IntrospectionServer server(sources);
   ASSERT_TRUE(server.Start(0, 0).ok());
   const HttpGetResult metrics = HttpGet(server.port(), "/metrics");
-  const HttpGetResult vars = HttpGet(server.port(), "/vars");
   EXPECT_NE(metrics.headers.find("version=0.0.4"), std::string::npos);
   EXPECT_NE(metrics.body.find("agree_total 7"), std::string::npos);
-  EXPECT_NE(vars.headers.find("application/json"), std::string::npos);
-  EXPECT_NE(vars.body.find("\"agree_total\""), std::string::npos);
+  // The JSON exposition is gone.
+  EXPECT_EQ(HttpGet(server.port(), "/vars").status, 404);
   server.Stop();
 }
 

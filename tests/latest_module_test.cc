@@ -318,17 +318,6 @@ TEST(LatestModuleTest, CountersTrackStream) {
   EXPECT_LT(module.window_population(), 3000u);
 }
 
-TEST(LatestModuleTest, ResetModelRetrains) {
-  auto module_result = LatestModule::Create(SmallConfig());
-  ASSERT_TRUE(module_result.ok());
-  LatestModule& module = **module_result;
-  util::Rng rng(24);
-  Drive(&module, 3000, 40, 25, [&]() { return RandomQuery(&rng); });
-  ASSERT_GT(module.model().num_trained(), 0u);
-  module.ResetModel();
-  EXPECT_EQ(module.model().num_trained(), 0u);
-}
-
 // End-to-end with the workload substrate: the full TwQW1 pipeline runs
 // and the module reaches the incremental phase with sane output.
 TEST(LatestModuleTest, EndToEndWithWorkloadGenerators) {

@@ -91,19 +91,6 @@ TEST(FfnEstimatorTest, LearnsFromFeedback) {
   }
   EXPECT_GT(trained_acc, untrained_acc + 5.0);  // +0.1 mean accuracy.
   EXPECT_GT(trained_acc / 50.0, 0.3);
-  EXPECT_EQ(est.num_feedback(), 3000u);
-}
-
-TEST(FfnEstimatorTest, ResetKeepsModelDropsWindowStats) {
-  auto config = TestEstimatorConfig();
-  FfnEstimator est(config);
-  const auto objects = MakeClusteredObjects(10000, 5);
-  FeedObjects(&est, config.window, objects);
-  est.OnFeedback(MakeKeywordQuery({0}), 10.0, 500);
-  est.Reset();
-  EXPECT_EQ(est.seen_population(), 0u);
-  EXPECT_EQ(est.num_feedback(), 1u);  // Learned state survives.
-  EXPECT_DOUBLE_EQ(est.Estimate(MakeKeywordQuery({0})), 0.0);  // Pop 0.
 }
 
 TEST(FfnEstimatorTest, EstimateLatencyIndependentOfPopulation) {
@@ -195,16 +182,6 @@ TEST(SpnEstimatorTest, DisjointRangeEstimatesNearZero) {
   // Out-of-domain ranges clamp to zero overlap with every histogram bin.
   EXPECT_NEAR(est.Estimate(MakeSpatialQuery({200, 200, 300, 300})), 0.0,
               1e-6);
-}
-
-TEST(SpnEstimatorTest, ResetWipes) {
-  auto config = TestEstimatorConfig();
-  SpnEstimator est(config);
-  const auto objects = MakeClusteredObjects(10000, 13);
-  FeedObjects(&est, config.window, objects);
-  est.Reset();
-  EXPECT_EQ(est.seen_population(), 0u);
-  EXPECT_DOUBLE_EQ(est.Estimate(MakeSpatialQuery({0, 0, 100, 100})), 0.0);
 }
 
 TEST(SpnEstimatorTest, MemoryScalesWithClusters) {

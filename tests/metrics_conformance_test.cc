@@ -64,18 +64,13 @@ void PopulateQualityFamilies(MetricsRegistry* registry) {
 }
 
 /// Serve-plane families as net/serve_server registers them: the
-/// per-class queue-wait ladder plus an exemplar-bearing latency
-/// histogram. Exemplars are JSON-only — the golden proves they leave
-/// the Prometheus text exposition byte-identical.
+/// per-class queue-wait ladder.
 void PopulateServeFamilies(MetricsRegistry* registry) {
   Histogram* query_wait = registry->GetHistogram(
       "latest_serve_queue_wait_ms", "Admission queue wait per class",
       {0.5, 1.0, 5.0}, {{"class", "query"}});
-  query_wait->EnableExemplars(/*capacity=*/4);
-  query_wait->ObserveWithExemplar(0.25, /*trace_id=*/0xabc,
-                                  /*request_id=*/17);
-  query_wait->ObserveWithExemplar(7.5, /*trace_id=*/0xdef,
-                                  /*request_id=*/18);
+  query_wait->Observe(0.25);
+  query_wait->Observe(7.5);
   registry
       ->GetHistogram("latest_serve_queue_wait_ms",
                      "Admission queue wait per class", {0.5, 1.0, 5.0},
@@ -196,61 +191,6 @@ TEST(MetricsConformanceTest, EachFamilyHasExactlyOneHelpAndType) {
       }
       EXPECT_EQ(count, 1u) << directive << family;
     }
-  }
-}
-
-TEST(MetricsConformanceTest, JsonEscapesLabelValues) {
-  MetricsRegistry registry;
-  PopulateConformanceRegistry(&registry);
-  const std::string json = registry.Json();
-  EXPECT_NE(json.find("C:\\\\dir\\\\file"), std::string::npos);
-  EXPECT_NE(json.find("he said \\\"hi\\\""), std::string::npos);
-  EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
-  // No raw (unescaped) newline may survive inside the JSON document.
-  EXPECT_EQ(json.find('\n'), std::string::npos);
-}
-
-TEST(MetricsConformanceTest, ExemplarsExposeInJsonOnly) {
-  MetricsRegistry registry;
-  PopulateConformanceRegistry(&registry);
-
-  // The Prometheus text contains no exemplar syntax at all: enabling
-  // exemplars must not perturb the scrape format existing dashboards
-  // parse (the golden comparison above pins the exact bytes).
-  const std::string text = registry.PrometheusText();
-  EXPECT_EQ(text.find("exemplar"), std::string::npos);
-  EXPECT_EQ(text.find(" # "), std::string::npos);  // OpenMetrics syntax.
-
-  // The JSON exposition carries them, keyed by trace and request id.
-  const std::string json = registry.Json();
-  EXPECT_NE(json.find("\"exemplars\":["), std::string::npos);
-  EXPECT_NE(json.find("\"trace_id\":2748"), std::string::npos);   // 0xabc
-  EXPECT_NE(json.find("\"request_id\":18"), std::string::npos);
-}
-
-TEST(MetricsConformanceTest, ExemplarRingIsBoundedAndTailBiased) {
-  MetricsRegistry registry;
-  Histogram* histogram = registry.GetHistogram(
-      "bounded_ms", "Exemplar bound check", {1.0, 10.0, 100.0});
-  histogram->EnableExemplars(/*capacity=*/4, /*quantile=*/0.95);
-  // Flood with fast observations, then a handful of slow ones: the ring
-  // retains at most `capacity` exemplars and the slow tail displaces
-  // the early warm-up captures.
-  for (int i = 0; i < 500; ++i) {
-    histogram->ObserveWithExemplar(0.5, /*trace_id=*/1000 + i,
-                                   /*request_id=*/i);
-  }
-  for (int i = 0; i < 4; ++i) {
-    histogram->ObserveWithExemplar(90.0 + i, /*trace_id=*/9000 + i,
-                                   /*request_id=*/600 + i);
-  }
-  const auto exemplars = histogram->Exemplars();
-  ASSERT_LE(exemplars.size(), 4u);
-  ASSERT_FALSE(exemplars.empty());
-  // Every retained exemplar is from the slow tail, not the flood.
-  for (const auto& exemplar : exemplars) {
-    EXPECT_GE(exemplar.value, 90.0);
-    EXPECT_GE(exemplar.trace_id, 9000u);
   }
 }
 

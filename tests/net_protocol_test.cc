@@ -380,19 +380,6 @@ TEST(NetProtocolTest, GarbageFuzzNeverCrashes) {
   }
 }
 
-TEST(NetProtocolTest, IsRequestTypeClassification) {
-  EXPECT_TRUE(IsRequestType(static_cast<uint8_t>(FrameType::kIngest)));
-  EXPECT_TRUE(IsRequestType(static_cast<uint8_t>(FrameType::kQuery)));
-  EXPECT_TRUE(IsRequestType(static_cast<uint8_t>(FrameType::kStatus)));
-  EXPECT_TRUE(IsRequestType(static_cast<uint8_t>(FrameType::kHello)));
-  EXPECT_FALSE(IsRequestType(static_cast<uint8_t>(FrameType::kIngestAck)));
-  EXPECT_FALSE(
-      IsRequestType(static_cast<uint8_t>(FrameType::kQueryResponse)));
-  EXPECT_FALSE(IsRequestType(static_cast<uint8_t>(FrameType::kHelloAck)));
-  EXPECT_FALSE(IsRequestType(0));
-  EXPECT_FALSE(IsRequestType(11));
-}
-
 TEST(NetProtocolTest, TraceContextTrailerRoundTrips) {
   // Sampled and unsampled trailers survive encode → decode on both
   // request types that carry them.

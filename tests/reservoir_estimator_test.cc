@@ -121,16 +121,6 @@ TEST(ReservoirListTest, DeterministicAcrossSeeds) {
   EXPECT_DOUBLE_EQ(a.Estimate(q), b.Estimate(q));
 }
 
-TEST(ReservoirListTest, ResetWipes) {
-  auto config = TestEstimatorConfig();
-  ReservoirListEstimator est(config);
-  const auto objects = MakeClusteredObjects(1000, 8);
-  FeedObjects(&est, config.window, objects);
-  est.Reset();
-  EXPECT_EQ(est.SampleSize(), 0u);
-  EXPECT_EQ(est.seen_population(), 0u);
-}
-
 // --------------------------------------------------------------------
 // RSH
 
@@ -223,16 +213,6 @@ TEST(ReservoirHashTest, ReplacementKeepsMapConsistent) {
   const double estimate = est.Estimate(MakeSpatialQuery({0, 0, 100, 100}));
   EXPECT_GE(estimate, 0.0);
   EXPECT_NEAR(estimate, static_cast<double>(est.seen_population()), 1e-6);
-}
-
-TEST(ReservoirHashTest, ResetWipes) {
-  auto config = TestEstimatorConfig();
-  ReservoirHashEstimator est(config);
-  const auto objects = MakeClusteredObjects(1000, 17);
-  FeedObjects(&est, config.window, objects);
-  est.Reset();
-  EXPECT_EQ(est.SampleSize(), 0u);
-  EXPECT_DOUBLE_EQ(est.Estimate(MakeSpatialQuery({0, 0, 100, 100})), 0.0);
 }
 
 TEST(ReservoirHashTest, MemoryIncludesIndexOverhead) {

@@ -2,7 +2,7 @@
 // against a straightforward scalar reference on randomized inputs at
 // every available tier (scalar, SSE2, AVX2), including the degenerate
 // shapes the batch paths feed them — empty inputs, single elements,
-// vector-width boundaries, degenerate rects, and empty keyword sets.
+// vector-width boundaries, and degenerate rects.
 
 #include "simd/kernels.h"
 
@@ -227,40 +227,6 @@ TEST(SimdTimestamp, LowerBoundMatchesStdLowerBound) {
       ForEachTier([&](KernelTier) {
         EXPECT_EQ(simd::LowerBoundTimestamp(ts.data(), n, cutoff), expect);
       });
-    }
-  }
-}
-
-std::vector<stream::KeywordId> RandomSortedSet(util::Rng* rng, size_t max_len,
-                                               uint32_t space) {
-  std::vector<stream::KeywordId> set(rng->NextBounded(max_len + 1));
-  for (auto& k : set) {
-    k = static_cast<stream::KeywordId>(rng->NextBounded(space));
-  }
-  stream::CanonicalizeKeywords(&set);
-  return set;
-}
-
-TEST(SimdKeyword, AnyIntersectMatchesReference) {
-  util::Rng rng(29);
-  // Span lengths straddle the SIMD probe threshold; keyword spaces of 40
-  // and 100000 exercise dense-hit and rare-hit regimes.
-  for (const uint32_t space : {40u, 100000u}) {
-    for (const size_t span_max : {size_t{0}, size_t{3}, size_t{15}, size_t{16},
-                                  size_t{40}, size_t{300}}) {
-      for (int trial = 0; trial < 40; ++trial) {
-        const auto span = RandomSortedSet(&rng, span_max, space);
-        const auto q = RandomSortedSet(&rng, 6, space);
-        const bool expect = stream::KeywordSetsIntersect(
-            span.data(), span.size(), q.data(), q.size());
-        ForEachTier([&](KernelTier tier) {
-          EXPECT_EQ(simd::AnyKeywordIntersect(span.data(), span.size(),
-                                              q.data(), q.size()),
-                    expect)
-              << "tier=" << simd::KernelTierName(tier)
-              << " span_len=" << span.size() << " q_len=" << q.size();
-        });
-      }
     }
   }
 }

@@ -304,7 +304,7 @@ std::unique_ptr<core::LatestModule> MustCreate(
 TEST(SloMonitorTest, AccuracyRuleWaitsForTheMonitorsFirstSample) {
   auto module = MustCreate(AccuracyOnlyConfig());
   SloMonitor& monitor = module->observer().slo_monitor();
-  ASSERT_EQ(monitor.num_rules(), 1u);
+  ASSERT_EQ(monitor.States().size(), 1u);
   const uint32_t debounce = monitor.States()[0].rule.for_ticks;
   ASSERT_GT(debounce, 1u);
 

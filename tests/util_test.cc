@@ -1,5 +1,5 @@
 // Unit and property tests for src/util: Status/Result, RNG, Zipf sampler,
-// hashing, min-max scaler, moving statistics, and the JSON parser.
+// hashing, min-max scaler, and moving statistics.
 
 #include <algorithm>
 #include <cmath>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "util/hashing.h"
-#include "util/json.h"
 #include "util/minmax_scaler.h"
 #include "util/moving_stats.h"
 #include "util/rng.h"
@@ -165,15 +164,6 @@ TEST(RngTest, NextBoolProbability) {
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
 }
 
-TEST(RngTest, ForkIndependence) {
-  Rng parent(3);
-  Rng child = parent.Fork();
-  // The fork and the parent should produce different streams.
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (parent.Next() == child.Next());
-  EXPECT_LT(same, 3);
-}
-
 // --------------------------------------------------------------------
 // Zipf
 
@@ -267,12 +257,6 @@ TEST(HashingTest, HashToUnitIsRoughlyUniform) {
   for (int b : buckets) EXPECT_NEAR(b, 10000, 500);
 }
 
-TEST(HashingTest, HashBytesDistinguishesStrings) {
-  EXPECT_NE(HashBytes("fire"), HashBytes("water"));
-  EXPECT_EQ(HashBytes("fire"), HashBytes("fire"));
-  EXPECT_NE(HashBytes(""), HashBytes("a"));
-}
-
 // --------------------------------------------------------------------
 // MinMaxScaler
 
@@ -326,17 +310,8 @@ TEST(MinMaxScalerTest, NegativeRangeScalesLinearly) {
   EXPECT_DOUBLE_EQ(s.Scale(10.0), 1.0);
 }
 
-TEST(MinMaxScalerTest, ResetForgets) {
-  MinMaxScaler s;
-  s.Observe(0.0);
-  s.Observe(10.0);
-  s.Reset();
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.Scale(3.0), 0.5);
-}
-
 // --------------------------------------------------------------------
-// MovingAverage / Ewma / RunningMoments
+// MovingAverage / Ewma
 
 TEST(MovingAverageTest, EmptyMeanIsZero) {
   MovingAverage m(4);
@@ -425,101 +400,6 @@ TEST(EwmaTest, ConvergesToConstant) {
   e.Add(0.0);
   for (int i = 0; i < 100; ++i) e.Add(3.0);
   EXPECT_NEAR(e.Value(), 3.0, 1e-6);
-}
-
-TEST(RunningMomentsTest, MeanAndVariance) {
-  RunningMoments m;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) m.Add(v);
-  EXPECT_DOUBLE_EQ(m.Mean(), 5.0);
-  EXPECT_DOUBLE_EQ(m.Variance(), 4.0);  // Population variance.
-  EXPECT_DOUBLE_EQ(m.StdDev(), 2.0);
-  EXPECT_DOUBLE_EQ(m.Min(), 2.0);
-  EXPECT_DOUBLE_EQ(m.Max(), 9.0);
-}
-
-TEST(RunningMomentsTest, EmptyIsZero) {
-  RunningMoments m;
-  EXPECT_DOUBLE_EQ(m.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(m.Variance(), 0.0);
-}
-
-// --------------------------------------------------------------------
-// JSON parser
-
-TEST(JsonTest, ParsesScalars) {
-  EXPECT_TRUE(ParseJson("null").value().is_null());
-  EXPECT_TRUE(ParseJson("true").value().AsBool());
-  EXPECT_FALSE(ParseJson("false").value().AsBool(true));
-  EXPECT_DOUBLE_EQ(ParseJson("3.25").value().AsDouble(), 3.25);
-  EXPECT_EQ(ParseJson("-17").value().AsInt(), -17);
-  EXPECT_DOUBLE_EQ(ParseJson("1e3").value().AsDouble(), 1000.0);
-  EXPECT_EQ(ParseJson("\"hi\"").value().AsString(), "hi");
-}
-
-TEST(JsonTest, ParsesNestedDocumentAndPreservesOrder) {
-  const auto parsed = ParseJson(
-      R"({"b": [1, 2, {"x": true}], "a": {"nested": "v"}, "n": null})");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const JsonValue& doc = parsed.value();
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.size(), 3u);
-  // Members keep document order.
-  EXPECT_EQ(doc.members()[0].first, "b");
-  EXPECT_EQ(doc.members()[1].first, "a");
-  EXPECT_EQ(doc.Get("b").size(), 3u);
-  EXPECT_EQ(doc.Get("b").At(1).AsInt(), 2);
-  EXPECT_TRUE(doc.Get("b").At(2).Get("x").AsBool());
-  EXPECT_EQ(doc.Get("a").Get("nested").AsString(), "v");
-  EXPECT_TRUE(doc.Get("n").is_null());
-  // Chained lookups through missing keys land on the shared null.
-  EXPECT_TRUE(doc.Get("missing").Get("deeper").At(9).is_null());
-  EXPECT_EQ(doc.Get("missing").AsInt(7), 7);
-  EXPECT_EQ(doc.Find("missing"), nullptr);
-}
-
-TEST(JsonTest, DecodesEscapesAndUnicode) {
-  const auto parsed = ParseJson(R"("a\"b\\c\ndAé")");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().AsString(), "a\"b\\c\ndA\xc3\xa9");
-}
-
-TEST(JsonTest, ErrorsCarryByteOffsets) {
-  const auto truncated = ParseJson(R"({"a": [1, 2)");
-  ASSERT_FALSE(truncated.ok());
-  EXPECT_NE(truncated.status().ToString().find("byte"), std::string::npos);
-
-  const auto garbage = ParseJson("{} trailing");
-  ASSERT_FALSE(garbage.ok());
-
-  const auto bare = ParseJson("{a: 1}");
-  EXPECT_FALSE(bare.ok());
-
-  EXPECT_FALSE(ParseJson("").ok());
-}
-
-TEST(JsonTest, RejectsPathologicalDepth) {
-  std::string deep;
-  for (int i = 0; i < 200; ++i) deep += "[";
-  EXPECT_FALSE(ParseJson(deep).ok());
-}
-
-TEST(JsonTest, WrongTypeReadsFallBack) {
-  const JsonValue number = ParseJson("5").value();
-  EXPECT_EQ(number.AsString(), "");
-  EXPECT_FALSE(number.AsBool());
-  EXPECT_EQ(number.size(), 0u);
-  EXPECT_TRUE(number.Get("k").is_null());
-  EXPECT_TRUE(number.At(0).is_null());
-}
-
-TEST(JsonTest, EscapeRoundTripsThroughParser) {
-  const std::string nasty = "quote\" backslash\\ newline\n tab\t ctrl\x01";
-  std::string doc = "\"";
-  doc += JsonEscape(nasty);
-  doc += "\"";
-  const auto parsed = ParseJson(doc);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().AsString(), nasty);
 }
 
 }  // namespace

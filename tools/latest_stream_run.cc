@@ -18,7 +18,7 @@
 //
 // Live introspection: --metrics-port P starts the embedded HTTP server
 // (0 binds an ephemeral port; the bound port is printed to stderr) with
-// /metrics, /vars, /healthz, /statusz, and /tracez. --trace-out FILE
+// /metrics, /healthz, /statusz, and /tracez. --trace-out FILE
 // enables span tracing (sampling every Nth root with --span-sample) and
 // writes Chrome trace-event JSON loadable in Perfetto at exit.
 // --pace-us D sleeps D microseconds per event so a human (or a CI curl
