@@ -42,7 +42,6 @@
 #include "estimators/space_saving.h"
 #include "exact/exact_evaluator.h"
 #include "ml/hoeffding_tree.h"
-#include "obs/drift_detector.h"
 #include "obs/slo_monitor.h"
 #include "obs/telemetry.h"
 #include "stream/object.h"
@@ -166,15 +165,11 @@ struct LatestConfig {
   /// is EXCLUDED from the SaveState configuration fingerprint.
   struct QualityObs {
     /// Master switch for the whole quality plane (error accounting,
-    /// drift detectors, audit trail; their fixed sizes are
-    /// ModuleObserver constants).
+    /// drift detection, audit trail). Its sizes are ModuleObserver
+    /// constants and its detector settings obs/drift_detector.cc
+    /// constants: the scenario gates' detection-delay bounds were tuned
+    /// against those, so no deployment runs a different detector.
     bool enabled = true;
-    /// Detector parameters for every monitored drift series (Page-Hinkley
-    /// slack/threshold, AdwinLite confidence/window, cooldown). The
-    /// scenario replay harness pins per-scenario detection-delay bounds
-    /// against these knobs; like everything else in the quality plane
-    /// they are observational and fingerprint-excluded.
-    obs::DriftMonitor::Options drift;
   } quality;
 
   /// Seed for all randomized components.

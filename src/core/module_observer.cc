@@ -8,6 +8,17 @@
 
 namespace latest::core {
 
+namespace {
+
+constexpr const char* kVocabChurnSeries = "ingest_vocab_churn";
+constexpr const char* kCentroidSeries = "ingest_centroid";
+
+std::string ErrorSeriesName(estimators::EstimatorKind kind) {
+  return std::string("error_") + estimators::EstimatorKindName(kind);
+}
+
+}  // namespace
+
 ModuleObserver::ModuleObserver(const LatestModule& module,
                                obs::Telemetry* telemetry)
     : module_(module), telemetry_(*telemetry) {
@@ -25,16 +36,15 @@ ModuleObserver::ModuleObserver(const LatestModule& module,
 
   error_accountant_ = std::make_unique<obs::ErrorAccountant>(config.tau);
   error_accountant_->AttachMetrics(&registry);
-  drift_monitor_ = std::make_unique<obs::DriftMonitor>(config.quality.drift);
+  drift_monitor_ = std::make_unique<obs::DriftMonitor>();
   drift_monitor_->AttachMetrics(&registry);
   drift_monitor_->AttachEventLog(&telemetry_.events());
-  vocab_churn_series_ = drift_monitor_->AddSeries("ingest_vocab_churn");
-  centroid_series_ = drift_monitor_->AddSeries("ingest_centroid");
+  vocab_churn_series_ = drift_monitor_->AddSeries(kVocabChurnSeries);
+  centroid_series_ = drift_monitor_->AddSeries(kCentroidSeries);
   for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
     const auto kind = static_cast<estimators::EstimatorKind>(k);
     if (!module_.IsEnabled(kind)) continue;
-    error_series_[k] = drift_monitor_->AddSeries(
-        std::string("error_") + estimators::EstimatorKindName(kind));
+    error_series_[k] = drift_monitor_->AddSeries(ErrorSeriesName(kind));
   }
   audit_trail_ = std::make_unique<obs::SwitchAuditTrail>(
       kAuditCapacity, kAuditResolutionWindow);
@@ -43,6 +53,19 @@ ModuleObserver::ModuleObserver(const LatestModule& module,
 }
 
 ModuleObserver::~ModuleObserver() = default;
+
+uint64_t ModuleObserver::drift_detections() const {
+  if (drift_monitor_ == nullptr) return 0;
+  uint64_t total = drift_monitor_->detections(kVocabChurnSeries) +
+                   drift_monitor_->detections(kCentroidSeries);
+  for (uint32_t k = 0; k < estimators::kNumEstimatorKinds; ++k) {
+    const auto kind = static_cast<estimators::EstimatorKind>(k);
+    if (module_.IsEnabled(kind)) {
+      total += drift_monitor_->detections(ErrorSeriesName(kind));
+    }
+  }
+  return total;
+}
 
 void ModuleObserver::RegisterMetrics() {
   obs::MetricsRegistry& registry = telemetry_.registry();

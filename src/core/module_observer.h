@@ -92,6 +92,11 @@ class ModuleObserver {
   obs::DriftMonitor* drift_monitor() { return drift_monitor_.get(); }
   obs::SwitchAuditTrail* audit_trail() { return audit_trail_.get(); }
 
+  /// Lifetime drift detections summed over every monitored series (0
+  /// when quality.enabled is false). The event ring, which every event
+  /// type shares, forgets old detections; this count does not.
+  uint64_t drift_detections() const;
+
  private:
   void RegisterMetrics();
   void SetWindowGauges();

@@ -2,15 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 
 namespace latest::obs {
 
-PageHinkley::PageHinkley(double delta, double lambda, uint64_t min_samples)
-    : delta_(delta), lambda_(lambda), min_samples_(std::max<uint64_t>(2, min_samples)) {}
+namespace {
+
+// The settings the scenario gates' detection-delay bounds were tuned
+// with. The gradual scenarios (centroid_drift, vocab_churn) raise the
+// cumulative statistic to ~0.4 before their ramps settle, so lambda sits
+// at 0.35, still ~100x above the stationary ingest series' noise
+// excursions (sigma^2 / (2 delta)).
+constexpr double kDelta = 0.01;   // Tolerated per-sample slack.
+constexpr double kLambda = 0.35;  // Cumulative-deviation threshold.
+constexpr uint64_t kMinSamples = 30;
+/// Samples after a detection during which further detections on the
+/// same series are coalesced and `active` stays raised.
+constexpr uint64_t kCooldownSamples = 64;
+
+}  // namespace
 
 bool PageHinkley::Update(double value) {
   ++samples_;
@@ -18,10 +30,10 @@ bool PageHinkley::Update(double value) {
   // Deviation above the running mean, minus the tolerated slack. The
   // cumulative sum only grows while samples sit persistently above the
   // historical mean; its running minimum anchors the test.
-  cumulative_ += value - mean_ - delta_;
+  cumulative_ += value - mean_ - kDelta;
   minimum_ = std::min(minimum_, cumulative_);
-  if (samples_ < min_samples_) return false;
-  return cumulative_ - minimum_ > lambda_;
+  if (samples_ < kMinSamples) return false;
+  return cumulative_ - minimum_ > kLambda;
 }
 
 void PageHinkley::Reset() {
@@ -31,78 +43,12 @@ void PageHinkley::Reset() {
   minimum_ = 0.0;
 }
 
-AdwinLite::AdwinLite(double confidence, size_t max_window,
-                     uint64_t min_samples)
-    : confidence_(std::clamp(confidence, 1e-9, 0.5)),
-      max_window_(std::max<size_t>(8, max_window)),
-      min_samples_(std::max<uint64_t>(8, min_samples)) {}
-
-double AdwinLite::window_mean() const {
-  return window_.empty()
-             ? 0.0
-             : window_sum_ / static_cast<double>(window_.size());
-}
-
-bool AdwinLite::Update(double value) {
-  ++samples_;
-  window_.push_back(value);
-  window_sum_ += value;
-  if (window_.size() > max_window_) {
-    window_sum_ -= window_.front();
-    window_.pop_front();
-  }
-  const size_t n = window_.size();
-  if (samples_ < min_samples_ || n < 2 * 4) return false;
-
-  // Check exponentially spaced cuts from the recent end: the newest 4,
-  // 8, 16, ... samples against everything older. Exponential spacing
-  // keeps the per-update cost at O(log n) mean computations while still
-  // bracketing any change point within a factor of two.
-  double suffix_sum = 0.0;
-  size_t suffix_len = 0;
-  size_t next_check = 4;
-  const double ln_term = std::log(2.0 / confidence_);
-  for (size_t i = 0; i < n - 4; ++i) {
-    suffix_sum += window_[n - 1 - i];
-    ++suffix_len;
-    if (suffix_len != next_check) continue;
-    next_check *= 2;
-    const size_t prefix_len = n - suffix_len;
-    const double suffix_mean =
-        suffix_sum / static_cast<double>(suffix_len);
-    const double prefix_mean = (window_sum_ - suffix_sum) /
-                               static_cast<double>(prefix_len);
-    const double inv_harmonic = 1.0 / static_cast<double>(suffix_len) +
-                                1.0 / static_cast<double>(prefix_len);
-    const double eps = std::sqrt(ln_term / 2.0 * inv_harmonic);
-    if (std::abs(suffix_mean - prefix_mean) > eps) {
-      // Drop the stale prefix: the window restarts on the post-change
-      // distribution, which re-arms the detector without a hard reset.
-      while (window_.size() > suffix_len) {
-        window_sum_ -= window_.front();
-        window_.pop_front();
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-DriftMonitor::DriftMonitor() : DriftMonitor(Options()) {}
-
-DriftMonitor::DriftMonitor(Options options) : options_(options) {}
-
 DriftMonitor::SeriesId DriftMonitor::AddSeries(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < series_.size(); ++i) {
     if (series_[i].first == name) return static_cast<SeriesId>(i);
   }
-  series_.emplace_back(
-      name, Series{PageHinkley(options_.ph_delta, options_.ph_lambda,
-                               options_.ph_min_samples),
-                   AdwinLite(options_.adwin_confidence,
-                             options_.adwin_max_window,
-                             options_.adwin_min_samples)});
+  series_.emplace_back(name, Series{});
   if (registry_ != nullptr) RegisterSeriesMetricsLocked(&series_.back());
   return static_cast<SeriesId>(series_.size() - 1);
 }
@@ -154,18 +100,15 @@ bool DriftMonitor::Observe(SeriesId id, double value, int64_t timestamp,
     Series* series = &series_[id].second;
     ++series->samples;
 
-    const bool ph_fired = series->ph.Update(value);
-    const bool adwin_fired = series->adwin.Update(value);
-    if (ph_fired) series->ph.Reset();  // Re-arm on the new regime.
+    const bool fired = series->ph.Update(value);
+    if (fired) series->ph.Reset();  // Re-arm on the new regime.
 
     if (series->cooldown_left > 0) {
       // Coalesce: a sustained shift raises one detection, not one per
-      // sample. The cooldown re-extends while detectors keep firing so
+      // sample. The cooldown re-extends while the detector keeps firing so
       // `active` reflects "still drifting", and decays once quiet.
       --series->cooldown_left;
-      if (ph_fired || adwin_fired) {
-        series->cooldown_left = options_.cooldown_samples;
-      }
+      if (fired) series->cooldown_left = kCooldownSamples;
       if (series->cooldown_left == 0 && series->active_gauge != nullptr) {
         series->active_gauge->Set(0.0);
       }
@@ -173,11 +116,11 @@ bool DriftMonitor::Observe(SeriesId id, double value, int64_t timestamp,
       return false;
     }
 
-    if (!ph_fired && !adwin_fired) return false;
+    if (!fired) return false;
 
     detected = true;
     ++series->detections;
-    series->cooldown_left = options_.cooldown_samples;
+    series->cooldown_left = kCooldownSamples;
     if (series->detections_counter != nullptr) {
       series->detections_counter->Increment();
     }
@@ -186,7 +129,6 @@ bool DriftMonitor::Observe(SeriesId id, double value, int64_t timestamp,
 
     DriftDetection detection;
     detection.series = series_name;
-    detection.detector = ph_fired ? "page_hinkley" : "adwin";
     detection.value = value;
     detection.sample_index = series->samples;
     detection.timestamp = timestamp;
@@ -198,7 +140,7 @@ bool DriftMonitor::Observe(SeriesId id, double value, int64_t timestamp,
       event.timestamp = timestamp;
       event.query_count = query_count;
       event.detail = value;
-      event.note = series_name + "/" + detection.detector;
+      event.note = series_name;
       event_log = event_log_;
     }
   }

@@ -17,33 +17,6 @@ using core::LatestModule;
 using core::Phase;
 using core::QueryOutcome;
 
-/// The deterministic smoke configuration shared with
-/// tools/latest_stream_run: alpha = 0 keeps wall clock out of every
-/// decision, shadow mode measures the whole portfolio per query, and
-/// the short pre-train/hysteresis windows reach the incremental phase
-/// within laptop-scale streams.
-LatestConfig MakeConfig(const ScenarioSpec& spec) {
-  LatestConfig config;
-  config.bounds = spec.bounds;
-  config.window.window_length_ms = 1000;
-  config.window.num_slices = 10;
-  config.pretrain_queries = 40;
-  config.monitor_window = 16;
-  config.min_queries_between_switches = 16;
-  config.estimator.reservoir_capacity = 500;
-  config.default_estimator = estimators::EstimatorKind::kH4096;
-  config.maintain_shadow_estimators = true;
-  config.alpha = 0.0;
-  config.seed = spec.seed;
-  // Detector sensitivity for the replay gates: the gradual scenarios
-  // (centroid_drift, vocab_churn) raise Page-Hinkley's cumulative
-  // statistic to ~0.4 before their ramps settle, which the stock 0.5
-  // threshold misses. 0.35 catches them while staying ~100x above the
-  // stationary ingest series' noise excursions (sigma^2 / (2 delta)).
-  config.quality.drift.ph_lambda = 0.35;
-  return config;
-}
-
 /// Which monitored series count as "detecting" an injection of a kind.
 /// Spatial injections move the ingest centroid; vocabulary injections
 /// move per-slice keyword churn; query-mix flips have no dedicated
@@ -69,6 +42,22 @@ void AppendDouble(std::ostringstream* out, double value) {
 }
 
 }  // namespace
+
+LatestConfig ServingConfig(const ScenarioSpec& spec, ServingMode mode) {
+  LatestConfig config;
+  config.bounds = spec.bounds;
+  config.window.window_length_ms = 1000;
+  config.window.num_slices = 10;
+  config.pretrain_queries = 40;
+  config.monitor_window = 16;
+  config.min_queries_between_switches = 16;
+  config.estimator.reservoir_capacity = 500;
+  config.default_estimator = estimators::EstimatorKind::kH4096;
+  config.maintain_shadow_estimators = mode == ServingMode::kShadow;
+  config.alpha = 0.0;
+  config.seed = spec.seed;
+  return config;
+}
 
 uint64_t ScenarioOutcome::DetectionDelayMax() const {
   uint64_t max_delay = 0;
@@ -108,7 +97,7 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry) {
   const ScenarioSpec& spec = entry.spec;
   LATEST_RETURN_IF_ERROR(spec.Validate());
 
-  const LatestConfig config = MakeConfig(spec);
+  const LatestConfig config = ServingConfig(spec, ServingMode::kShadow);
   auto created = LatestModule::Create(config);
   if (!created.ok()) return created.status();
   std::unique_ptr<LatestModule> module = std::move(created).value();
@@ -208,7 +197,6 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry) {
     // are drained here too (pending entries persist until drained).
     for (const obs::DriftDetection& detection :
          module->observer().drift_monitor()->Drain()) {
-      ++outcome.drift_detections;
       for (size_t i = 0; i < injections.size(); ++i) {
         InjectionOutcome& verdict = outcome.injections[i];
         if (verdict.detected || !onset_passed[i]) continue;
@@ -224,12 +212,7 @@ util::Result<ScenarioOutcome> RunScenario(const ScenarioCatalogEntry& entry) {
       }
     }
   }
-  for (const obs::DriftDetection& detection :
-       module->observer().drift_monitor()->Drain()) {
-    ++outcome.drift_detections;
-    (void)detection;
-  }
-
+  outcome.drift_detections = module->observer().drift_detections();
   outcome.objects = stream.objects_produced();
   if (outcome.incremental_queries > 0) {
     outcome.mean_accuracy =

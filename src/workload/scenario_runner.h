@@ -1,9 +1,13 @@
 // Drift-aware scenario replay harness.
 //
+// ServingConfig builds the module configuration every entry point runs
+// (latest_serve in production mode, latest_stream_run and the replay
+// harness in shadow mode), so the scenario gates measure the
+// configuration that ships.
+//
 // RunScenario drives a full LATEST lifecycle (warm-up, pre-training,
-// incremental) over a ScenarioStream with the deterministic alpha = 0
-// smoke configuration and measures how the module weathered the
-// scenario's injected drifts:
+// incremental) over a ScenarioStream with the shadow-mode ServingConfig
+// and measures how the module weathered the scenario's injected drifts:
 //
 //   * accuracy trajectory — per-window-slice mean active-estimator
 //     accuracy over the incremental phase;
@@ -34,6 +38,24 @@
 #include "workload/scenario.h"
 
 namespace latest::workload {
+
+/// Which estimators a served module maintains.
+enum class ServingMode {
+  /// Only the active estimator and a pre-filling candidate (Section
+  /// V-C/V-D): what latest_serve deploys.
+  kProduction,
+  /// Every enabled estimator maintained and measured per query: the
+  /// paper's evaluation mode, which the scenario gates measure.
+  kShadow,
+};
+
+/// The serving-shape module configuration every entry point runs: the
+/// spec's bounds and seed, a 1 s window in 10 slices, pre-train and
+/// hysteresis windows short enough to reach the incremental phase within
+/// laptop-scale streams, H4096 as the default estimator, and alpha = 0 so
+/// wall clock stays out of every decision. Deployment settings
+/// (introspection, SLO ticker cadence) are the caller's.
+core::LatestConfig ServingConfig(const ScenarioSpec& spec, ServingMode mode);
 
 /// Per-injection verdict of one replay.
 struct InjectionOutcome {

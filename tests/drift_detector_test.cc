@@ -1,9 +1,9 @@
-// Drift detectors: Page-Hinkley and AdwinLite must flag abrupt steps and
-// slow ramps within a bounded number of samples, stay silent on
-// stationary series (zero false positives over long runs), and the
-// DriftMonitor multiplexer must coalesce detections inside the cooldown,
-// emit kDriftDetected events, and decay its active gauges once the
-// series is stable again.
+// Drift detection: Page-Hinkley, at the shipped constants, must flag
+// abrupt steps and slow ramps within a bounded number of samples and stay
+// silent on stationary series (zero false positives over long runs), and
+// the DriftMonitor multiplexer must coalesce detections inside the
+// cooldown, emit kDriftDetected events, and decay its active gauges once
+// the series is stable again.
 
 #include <cmath>
 #include <cstdint>
@@ -59,12 +59,33 @@ TEST(PageHinkleyTest, StationarySeriesNeverFires) {
 }
 
 TEST(PageHinkleyTest, HoldsFireBeforeMinSamples) {
-  PageHinkley ph(/*delta=*/0.005, /*lambda=*/0.25, /*min_samples=*/30);
+  PageHinkley ph;
   // A huge step immediately: nothing may fire until the detector has
-  // seen min_samples values.
+  // seen its minimum sample count (30).
   for (int i = 0; i < 29; ++i) {
     EXPECT_FALSE(ph.Update(i < 5 ? 0.0 : 10.0));
   }
+}
+
+TEST(PageHinkleyTest, DetectsSlowRamp) {
+  PageHinkley ph;
+  util::Rng rng(23);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_FALSE(ph.Update(Noisy(&rng, 0.2))) << "false positive at " << i;
+  }
+  // 0.2 -> 0.8 over 300 samples: no single step exceeds the noise, but
+  // the rise outpaces the slack, so the cumulative deviation crosses the
+  // threshold early in the ramp.
+  int detected_after = -1;
+  for (int i = 0; i < 300; ++i) {
+    const double level = 0.2 + 0.6 * static_cast<double>(i) / 300.0;
+    if (ph.Update(Noisy(&rng, level))) {
+      detected_after = i;
+      break;
+    }
+  }
+  ASSERT_GE(detected_after, 0) << "ramp never detected";
+  EXPECT_LE(detected_after, 60);
 }
 
 TEST(PageHinkleyTest, ResetRearms) {
@@ -80,59 +101,6 @@ TEST(PageHinkleyTest, ResetRearms) {
   for (int i = 0; i < 500; ++i) {
     ASSERT_FALSE(ph.Update(Noisy(&rng, 0.7)));
   }
-}
-
-// ---------------------------------------------------------------------
-// AdwinLite
-// ---------------------------------------------------------------------
-
-TEST(AdwinLiteTest, DetectsStepWithinBoundedSamples) {
-  AdwinLite adwin;
-  util::Rng rng(19);
-  for (int i = 0; i < 240; ++i) {
-    ASSERT_FALSE(adwin.Update(Noisy(&rng, 0.2))) << "false positive at " << i;
-  }
-  int detected_after = -1;
-  for (int i = 0; i < 64; ++i) {
-    if (adwin.Update(Noisy(&rng, 0.8))) {
-      detected_after = i;
-      break;
-    }
-  }
-  ASSERT_GE(detected_after, 0) << "step never detected";
-  EXPECT_LE(detected_after, 32);
-}
-
-TEST(AdwinLiteTest, DetectsSlowRamp) {
-  AdwinLite adwin;
-  util::Rng rng(23);
-  for (int i = 0; i < 200; ++i) ASSERT_FALSE(adwin.Update(Noisy(&rng, 0.2)));
-  // 0.2 -> 0.8 over 300 samples: no single step exceeds the noise, but
-  // the window halves diverge beyond the Hoeffding bound mid-ramp; the
-  // detector must fire before the ramp completes. (A shallower slope
-  // keeps the half-window mean gap under eps for every cut and is
-  // legitimately undetectable by an ADWIN of this window size.)
-  bool fired = false;
-  for (int i = 0; i < 300 && !fired; ++i) {
-    const double level = 0.2 + 0.6 * static_cast<double>(i) / 300.0;
-    fired = adwin.Update(Noisy(&rng, level));
-  }
-  EXPECT_TRUE(fired);
-}
-
-TEST(AdwinLiteTest, StationarySeriesNeverFires) {
-  AdwinLite adwin;
-  util::Rng rng(29);
-  for (int i = 0; i < 5000; ++i) {
-    ASSERT_FALSE(adwin.Update(Noisy(&rng, 0.4))) << "false positive at " << i;
-  }
-}
-
-TEST(AdwinLiteTest, WindowStaysBounded) {
-  AdwinLite adwin(/*confidence=*/0.002, /*max_window=*/64);
-  util::Rng rng(31);
-  for (int i = 0; i < 1000; ++i) adwin.Update(Noisy(&rng, 0.5));
-  EXPECT_LE(adwin.window_size(), 64u);
 }
 
 // ---------------------------------------------------------------------
@@ -164,9 +132,8 @@ TEST(DriftMonitorTest, StepEmitsEventAndMetrics) {
   const std::vector<Event> drift =
       events.SnapshotOfType(EventType::kDriftDetected);
   ASSERT_EQ(drift.size(), 1u);
-  // The note carries "series/detector" so the event log alone tells you
-  // which test fired.
-  EXPECT_EQ(drift[0].note.rfind("err/", 0), 0u) << drift[0].note;
+  // The note names the series.
+  EXPECT_EQ(drift[0].note, "err");
 
   const Counter* detections = registry.FindCounter(
       "latest_drift_detections_total", {{"series", "err"}});
@@ -180,17 +147,13 @@ TEST(DriftMonitorTest, StepEmitsEventAndMetrics) {
   const std::vector<DriftDetection> drained = monitor.Drain();
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].series, "err");
-  EXPECT_TRUE(drained[0].detector == "page_hinkley" ||
-              drained[0].detector == "adwin");
   EXPECT_TRUE(monitor.Drain().empty());
 }
 
 TEST(DriftMonitorTest, CooldownCoalescesAndDecays) {
   MetricsRegistry registry;
   EventLog events(64);
-  DriftMonitor::Options options;
-  options.cooldown_samples = 32;
-  DriftMonitor monitor(options);
+  DriftMonitor monitor;
   monitor.AttachMetrics(&registry);
   monitor.AttachEventLog(&events);
   const DriftMonitor::SeriesId s = monitor.AddSeries("s");
@@ -211,7 +174,7 @@ TEST(DriftMonitorTest, CooldownCoalescesAndDecays) {
   EXPECT_EQ(events.SnapshotOfType(EventType::kDriftDetected).size(), 1u);
   EXPECT_EQ(monitor.active_series(), 1u);
 
-  // Once the detectors stop firing, the cooldown drains and the series
+  // Once the detector stops firing, the cooldown drains and the series
   // re-arms: the active gauge self-recovers without manual reset.
   for (int i = 0; i < 200 && monitor.active_series() != 0; ++i) {
     monitor.Observe(s, Noisy(&rng, 0.8));
@@ -281,17 +244,14 @@ struct SliceDetections {
 };
 
 /// Replays a scenario's object stream through the module's ingest
-/// feature extraction and the drift monitor, using the same detector
-/// options as the scenario replay harness (ph_lambda 0.35; see
-/// src/workload/scenario_runner.cc for the tuning rationale).
+/// feature extraction and a default drift monitor: the detector every
+/// entry point runs.
 SliceDetections ReplayIngestFeatures(const workload::ScenarioSpec& spec) {
   // The smoke window: 1000 ms over 10 slices.
   constexpr int64_t kSliceMs = 100;
   constexpr uint64_t kNumSlices = 10;
 
-  DriftMonitor::Options options;
-  options.ph_lambda = 0.35;
-  DriftMonitor monitor(options);
+  DriftMonitor monitor;
   const DriftMonitor::SeriesId vocab_series =
       monitor.AddSeries("ingest_vocab_churn");
   const DriftMonitor::SeriesId centroid_series =

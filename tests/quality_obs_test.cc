@@ -14,11 +14,13 @@
 
 #include "core/latest_module.h"
 #include "obs/audit_trail.h"
+#include "obs/drift_detector.h"
 #include "obs/error_accounting.h"
 #include "obs/event_log.h"
 #include "obs/metrics_registry.h"
 #include "obs/slo_monitor.h"
 #include "obs/statusz.h"
+#include "obs/telemetry.h"
 #include "stream/object.h"
 #include "stream/query.h"
 #include "tests/test_http_client.h"
@@ -402,6 +404,39 @@ TEST(QualityObsConfigTest, DisabledQualityObsMeansNullComponents) {
   EXPECT_EQ(module->observer().drift_monitor(), nullptr);
   EXPECT_EQ(module->observer().audit_trail(), nullptr);
   EXPECT_EQ(module->observer().introspection(), nullptr);
+}
+
+TEST(QualityObsConfigTest, DriftDetectionsCountPastTheEventRing) {
+  // The event ring, shared by every event type, keeps only its newest
+  // entries; the observer's lifetime drift count must keep counting
+  // after the ring has dropped the oldest detections.
+  core::LatestConfig config;
+  config.bounds = testing_support::kTestBounds;
+  config.window.window_length_ms = 1000;
+  config.window.num_slices = 10;
+  auto created = core::LatestModule::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  core::LatestModule* module = created.value().get();
+  obs::DriftMonitor* monitor = module->observer().drift_monitor();
+  ASSERT_NE(monitor, nullptr);
+  // AddSeries is idempotent, so this is the observer's own series.
+  const obs::DriftMonitor::SeriesId centroid =
+      monitor->AddSeries("ingest_centroid");
+
+  // A staircase: every unit step fires once, and the 100 samples spent
+  // on each step outlast the cooldown, so no detection is coalesced.
+  const uint64_t episodes = obs::Telemetry::kEventLogCapacity + 100;
+  for (uint64_t step = 0; step <= episodes; ++step) {
+    for (int i = 0; i < 100; ++i) {
+      monitor->Observe(centroid, static_cast<double>(step));
+    }
+  }
+  EXPECT_EQ(module->observer().drift_detections(), episodes);
+  EXPECT_LT(module->telemetry()
+                .events()
+                .SnapshotOfType(obs::EventType::kDriftDetected)
+                .size(),
+            episodes);
 }
 
 TEST(QualityObsConfigTest, ObservabilityNeverChangesTheLifecycle) {

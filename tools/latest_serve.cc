@@ -8,10 +8,13 @@
 // SLO-driven load shedding (RETRY_LATER with backoff hints; QUERY sheds
 // before INGEST).
 //
-// The module runs in production mode: only the active estimator and a
-// pre-filling candidate are maintained. The paper's evaluation mode
-// (every estimator measured on every query) stays with latest_stream_run
-// and the benches that reproduce the paper's figures.
+// The module runs the production-mode ServingConfig
+// (src/workload/scenario_runner.h): only the active estimator and a
+// pre-filling candidate are maintained. Every other setting, the drift
+// detector included, is the one the scenario gates measure in shadow
+// mode. The paper's evaluation mode (every estimator measured on every
+// query) stays with latest_stream_run and the benches that reproduce the
+// paper's figures.
 //
 // Durability: --checkpoint-dir DIR recovers the newest snapshot + WAL
 // tail at boot (fresh module when the directory is empty), write-ahead
@@ -57,6 +60,7 @@
 #include "persist/checkpoint_manager.h"
 #include "result_json.h"
 #include "workload/scenario.h"
+#include "workload/scenario_runner.h"
 
 namespace {
 
@@ -127,23 +131,14 @@ Options ParseArgs(int argc, char** argv) {
   return options;
 }
 
-/// Module config matching the driver tools' serving shape: the scenario
-/// catalog's spatial bounds, deterministic alpha = 0 lifecycle,
-/// production mode (no shadow estimators).
+/// The production-mode serving configuration over the scenario catalog's
+/// spatial bounds, with the --seed value and the introspection plane
+/// when --metrics-port asks for it.
 LatestConfig MakeConfig(const Options& options) {
   auto entry = latest::workload::MakeScenario("baseline");
   if (!entry.ok()) Die(entry.status().ToString());
-  LatestConfig config;
-  config.bounds = entry->spec.bounds;
-  config.window.window_length_ms = 1000;
-  config.window.num_slices = 10;
-  config.pretrain_queries = 40;
-  config.monitor_window = 16;
-  config.min_queries_between_switches = 16;
-  config.estimator.reservoir_capacity = 500;
-  config.default_estimator = latest::estimators::EstimatorKind::kH4096;
-  config.maintain_shadow_estimators = false;
-  config.alpha = 0.0;
+  LatestConfig config = latest::workload::ServingConfig(
+      entry->spec, latest::workload::ServingMode::kProduction);
   config.seed = options.seed;
   if (options.metrics_port >= 0) {
     config.enable_introspection = true;

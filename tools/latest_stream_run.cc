@@ -11,10 +11,16 @@
 // fast-forwards the generators to the recovered position before
 // continuing.
 //
+// The module runs the shadow-mode ServingConfig
+// (src/workload/scenario_runner.h), the configuration and drift
+// detector the scenario gates measure.
+//
 // The final RESULT_JSON line carries the CRC-32 of the module's
-// deterministic lifecycle digest (SaveDeterministicState): a killed-and-resumed run must print the
-// same state_crc as an uninterrupted one — that is the bit-identical
-// recovery contract, asserted by scripts/crash_recovery_smoke.sh.
+// deterministic lifecycle digest (SaveDeterministicState): a
+// killed-and-resumed run must print the same state_crc as an
+// uninterrupted one — that is the bit-identical recovery contract,
+// asserted by scripts/crash_recovery_smoke.sh. `drift_detections` is the
+// drift monitor's lifetime count over every monitored series.
 //
 // Live introspection: --metrics-port P starts the embedded HTTP server
 // (0 binds an ephemeral port; the bound port is printed to stderr) with
@@ -61,6 +67,7 @@
 #include "stream/object.h"
 #include "stream/query.h"
 #include "workload/scenario.h"
+#include "workload/scenario_runner.h"
 
 namespace {
 
@@ -111,18 +118,8 @@ latest::workload::ScenarioSpec MakeSpec(const Options& options) {
 
 LatestConfig MakeConfig(const Options& options,
                         const latest::workload::ScenarioSpec& spec) {
-  LatestConfig config;
-  config.bounds = spec.bounds;
-  config.window.window_length_ms = 1000;
-  config.window.num_slices = 10;
-  config.pretrain_queries = 40;
-  config.monitor_window = 16;
-  config.min_queries_between_switches = 16;
-  config.estimator.reservoir_capacity = 500;
-  config.default_estimator = latest::estimators::EstimatorKind::kH4096;
-  config.maintain_shadow_estimators = true;
-  config.alpha = 0.0;
-  config.seed = options.seed;
+  LatestConfig config = latest::workload::ServingConfig(
+      spec, latest::workload::ServingMode::kShadow);
   if (options.metrics_port >= 0) {
     config.enable_introspection = true;
     config.introspection_port = static_cast<uint16_t>(options.metrics_port);
@@ -304,13 +301,9 @@ int main(int argc, char** argv) {
   module->SaveDeterministicState(&state);
   const uint32_t state_crc = latest::persist::Crc32(state.buffer());
 
-  // Quality-observability outcome: drift detections across all monitored
-  // series and audit-trail totals.
-  const uint64_t drift_detections =
-      module->telemetry()
-          .events()
-          .SnapshotOfType(latest::obs::EventType::kDriftDetected)
-          .size();
+  // Quality-observability outcome: lifetime drift detections across all
+  // monitored series and audit-trail totals.
+  const uint64_t drift_detections = module->observer().drift_detections();
   uint64_t audit_entries = 0;
   if (module->observer().audit_trail() != nullptr) {
     audit_entries =
